@@ -8,13 +8,15 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from itertools import chain
 
-from . import __version__
-from .config import (COLUMNS, build_sweep_spec, build_system, load_config,
-                     point_baths, raw_baths, record_fields)
-from .errors import (ConfigError, NumericalError, PreconditionError,
-                     QdiccError)
+import numpy as np
+
+from . import __version__, engine
+from .config import (COLUMNS, build_sweep_spec, build_system, line_baths,
+                     line_records, load_config, point_baths, raw_baths,
+                     record_fields)
+from .errors import ConfigError, NumericalError, PreconditionError, QdiccError
 from .icc import Regime, analyze_point
 from .thermo import forces_macro
 
@@ -75,42 +77,54 @@ def _solve_record(cfg: dict, tol_sign: float) -> tuple[str, ...]:
     return record_fields(f_e, f_n, beta, mu_l, point, "ok")
 
 
-def _row_status(exc: Exception) -> str:
-    if isinstance(exc, NumericalError):
+def _row_status(cls: type) -> str:
+    if issubclass(cls, NumericalError):
         return "error:numerical"
-    if isinstance(exc, (PreconditionError, ValueError)):
+    if issubclass(cls, (PreconditionError, ValueError)):
         return "error:precondition"
     return "error:config"
 
 
+# the status column's word for each engine status code
+_STATUS_WORDS = {engine.OK: "ok", **{code: _row_status(cls) for code, (cls, _msg)
+                                     in engine.ERRORS.items()}}
+
+
 def _sweep_row(payload) -> list[tuple[str, ...]]:
-    """All records for one F_E grid line; importable so workers can pickle it."""
+    """All records for one F_E grid line, from one engine call; importable
+    so workers can pickle it."""
     cfg, tol_sign, f_e, f_n_values = payload
     sys_params = build_system(cfg)
-    rows = []
-    for f_n in f_n_values:
-        try:
-            baths, beta, mu_l = point_baths(cfg, f_e, f_n)
-            point = analyze_point(sys_params, baths, tol_sign=tol_sign)
-            rows.append(record_fields(f_e, f_n, beta, mu_l, point, "ok"))
-        except (QdiccError, ValueError) as exc:
-            rows.append(record_fields(f_e, f_n, float("nan"), float("nan"),
-                                      None, _row_status(exc)))
-    return rows
+    f_n = np.asarray(f_n_values, dtype=float)
+    try:
+        betas, mus, gammas = line_baths(cfg, f_e, f_n)
+    except (QdiccError, ValueError) as exc:
+        status = _row_status(type(exc))
+        return [record_fields(f_e, v, None, None, None, status) for v in f_n_values]
+    batch = engine.evaluate(sys_params, betas, mus, gammas, tol_sign=tol_sign)
+    return line_records(f_e, f_n, betas[0], mus[0], batch, _STATUS_WORDS)
 
 
 def _iter_sweep_rows(cfg: dict, tol_sign: float, threads: int):
+    """Validate the sweep, then return an iterator over its records in
+    row-major order; a bad config raises here, before any output."""
     spec = build_sweep_spec(cfg)
     build_system(cfg)  # fail fast on bad system parameters
     f_n_values = tuple(float(v) for v in spec.f_n_values())
     payloads = [(cfg, tol_sign, float(f_e), f_n_values) for f_e in spec.f_e_values()]
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for row_block in pool.map(_sweep_row, payloads):
-                yield from row_block
-    else:
-        for payload in payloads:
-            yield from _sweep_row(payload)
+
+    def rows():
+        if threads > 1:
+            # imported here: the pool machinery costs every CLI start ~20 ms
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(max_workers=threads) as pool:
+                for row_block in pool.map(_sweep_row, payloads):
+                    yield from row_block
+        else:
+            for payload in payloads:
+                yield from _sweep_row(payload)
+
+    return rows()
 
 
 def _write_lines(out: str, lines) -> None:
@@ -132,10 +146,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    lines = [",".join(COLUMNS)]
-    lines.extend(",".join(row) for row in
-                 _iter_sweep_rows(cfg, args.tol_sign, args.threads))
-    _write_lines(args.out, lines)
+    rows = _iter_sweep_rows(cfg, args.tol_sign, args.threads)
+    _write_lines(args.out, chain([",".join(COLUMNS)], map(",".join, rows)))
     return 0
 
 

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import REGIMES, Batch
 from .errors import ConfigError, PreconditionError
 from .icc import IccPoint, Regime, icc_reduction, invert_forces, thermoelectric_reduction
 from .model import BathConfig, Lead, Reservoir, SystemParams
@@ -119,17 +120,19 @@ def build_system(cfg: dict) -> SystemParams:
     return SystemParams(eps_b=cfg["eps_b"], eps_u=cfg["eps_u"], kappa=cfg["kappa"])
 
 
+def _leads(cfg: dict) -> tuple[float, float, float, float]:
+    """(beta_r, mu_r, mu_u, gamma) with their documented defaults."""
+    _require(cfg, "beta_r", "mu_r")
+    return cfg["beta_r"], cfg["mu_r"], cfg.get("mu_u", cfg["mu_r"]), cfg.get("gamma", 1.0)
+
+
 def point_baths(cfg: dict, f_e: float, f_n: float) -> tuple[BathConfig, float, float]:
     """Baths realizing forces (f_e, f_n) in the configured setup.
 
     Returns (baths, derived beta, mu_l); the derived beta is beta_l = beta_u
     for the two-force setup and beta_u for the thermoelectric one.
     """
-    _require(cfg, "beta_r", "mu_r")
-    beta_r = cfg["beta_r"]
-    mu_r = cfg["mu_r"]
-    mu_u = cfg.get("mu_u", mu_r)
-    gamma = cfg.get("gamma", 1.0)
+    beta_r, mu_r, mu_u, gamma = _leads(cfg)
     setup = cfg["setup"]
     if setup == "icc":
         beta, mu_l = invert_forces(f_e, f_n, beta_r, mu_r)
@@ -144,6 +147,17 @@ def point_baths(cfg: dict, f_e: float, f_n: float) -> tuple[BathConfig, float, f
         return (thermoelectric_reduction(beta_r, beta_u, mu_l, mu_r, mu_u, gamma),
                 beta_u, mu_l)
     raise PreconditionError("raw setup does not support force coordinates")
+
+
+def line_baths(cfg: dict, f_e: float, f_n: np.ndarray):
+    """Baths of one F_E line of a two-force sweep, as the (l, r, u) triples
+    of beta, mu and gamma that :func:`qdicc.engine.evaluate` takes; beta_l =
+    beta_u is the derived beta and mu_l an array over ``f_n``.  Raises
+    ValueError, as :func:`point_baths` does, when beta is not positive.
+    """
+    beta_r, mu_r, mu_u, gamma = _leads(cfg)
+    beta, mu_l = invert_forces(f_e, f_n, beta_r, mu_r)
+    return (beta, beta_r, beta), (mu_l, mu_r, mu_u), (gamma, gamma, gamma)
 
 
 def raw_baths(cfg: dict) -> BathConfig:
@@ -195,10 +209,8 @@ def build_sweep_spec(cfg: dict) -> SweepSpec:
         f_e_min=cfg["F_E_min"], f_e_max=cfg["F_E_max"], f_e_steps=cfg["F_E_steps"],
         f_n_min=cfg["F_N_min"], f_n_max=cfg["F_N_max"], f_n_steps=cfg["F_N_steps"],
     )
-    if cfg["setup"] == "icc" and cfg["beta_r"] + spec.f_e_min <= 0:
+    if cfg["beta_r"] + spec.f_e_min <= 0:
         raise ConfigError("beta_r + F_E_min must stay positive")
-    if cfg["setup"] == "thermoelectric" and cfg["beta_r"] - spec.f_e_max <= 0:
-        raise ConfigError("beta_r - F_E_max must stay positive")
     return spec
 
 
@@ -227,3 +239,38 @@ def record_fields(f_e: float, f_n: float, beta: float, mu_l: float,
         ]
     diag = ["", ""] if point is None else [_fmt(point.res_j_e), _fmt(point.res_j_n)]
     return (_fmt(f_e), _fmt(f_n), _fmt(beta), _fmt(mu_l), *body, *diag, status)
+
+
+# a failed row keeps its forces and status; every other cell stays empty
+_EMPTY = ("",) * (len(COLUMNS) - 3)
+
+
+def line_records(f_e: float, f_n: np.ndarray, beta: float, mu_l: np.ndarray,
+                 batch: Batch, status_words) -> list[tuple[str, ...]]:
+    """The rows of one sweep line in COLUMNS order, cell for cell as
+    :func:`record_fields` writes them; ``status_words`` names each status
+    code of the batch."""
+    fmt = "{:.16e}".format
+
+    def optional(value):  # NaN marks a cell the batch leaves undefined
+        return "" if value != value else fmt(value)
+
+    cells = np.vstack((
+        np.broadcast_to(beta, f_n.shape), mu_l, batch.currents, batch.gamma_cw,
+        batch.x, batch.y, batch.m, batch.n, batch.pq, batch.sigma_macro,
+        batch.sigma_micro, batch.cop, batch.eta, batch.res_j_e, batch.res_j_n,
+    )).T.tolist()
+    f_e_cell = fmt(f_e)
+    rows = []
+    for f, code, regime, v in zip(f_n.tolist(), batch.status.tolist(),
+                                  batch.regime.tolist(), cells):
+        if code:
+            rows.append((f_e_cell, fmt(f), *_EMPTY, status_words[code]))
+            continue
+        rows.append((
+            f_e_cell, fmt(f), *map(fmt, v[:16]), optional(v[16]), fmt(v[17]),
+            fmt(v[18]), REGIMES[regime].value if regime >= 0 else "",
+            optional(v[19]), optional(v[20]), fmt(v[21]), fmt(v[22]),
+            status_words[code],
+        ))
+    return rows

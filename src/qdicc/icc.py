@@ -19,30 +19,18 @@ and the Carnot efficiency respectively.
 """
 from __future__ import annotations
 
-import enum
-import math
 from dataclasses import dataclass
 
-from .errors import NumericalError, PreconditionError, SecondLawViolationError
-from .kinetics import RateConstants, generator, rate_constants
+import numpy as np
+
+from . import engine
+from .engine import REGIMES, Regime
+from .errors import NumericalError, PreconditionError
+from .kinetics import RateConstants
 from .model import BathConfig, Lead, Reservoir, SystemParams
-from .steadystate import SteadyState, steady_state
-from .thermo import (ForceSet, entropy_production_macro,
-                     entropy_production_micro, forces_macro, mn_factors)
-from .transport import CurrentSet, conservation_report, currents
-
-
-class Regime(enum.Enum):
-    """Classification of a point in the (force, force) plane."""
-
-    EQUILIBRIUM = "Equilibrium"
-    NORMAL = "Normal"
-    CROSS_EFFECT_ENERGY = "CrossEffectEnergy"
-    CROSS_EFFECT_PARTICLE = "CrossEffectParticle"
-    PSEUDO_ICC_ENERGY = "PseudoIccEnergy"
-    PSEUDO_ICC_PARTICLE = "PseudoIccParticle"
-    ICC_ENERGY = "IccEnergy"
-    ICC_PARTICLE = "IccParticle"
+from .steadystate import SteadyState
+from .thermo import ForceSet
+from .transport import CurrentSet
 
 
 def icc_reduction(beta: float, beta_r: float, mu_l: float, mu_r: float,
@@ -98,18 +86,11 @@ def xy_variables(rc: RateConstants, ss: SteadyState) -> tuple[float, float]:
     particle current is (x + y)/2, and the individual right-lead channel
     fluxes recombine as (x + Gamma_cw)/2 and (y - Gamma_cw)/2.
     """
-    rho = ss.rho.values
-    g_ab_l = rc.k_ab_l * rho[0] - rc.k_ba_l * rho[1]
-    g_ab_r = rc.k_ab_r * rho[0] - rc.k_ba_r * rho[1]
-    g_cd_l = rc.k_cd_l * rho[2] - rc.k_dc_l * rho[3]
-    g_cd_r = rc.k_cd_r * rho[2] - rc.k_dc_r * rho[3]
-    x = g_ab_r - g_ab_l
-    y = g_cd_r - g_cd_l
-    scale = max(1.0, float(rc.values.max()))
-    if (abs(g_ab_r - 0.5 * (x + ss.gamma_cw)) > 1e-12 * scale
-            or abs(g_cd_r - 0.5 * (y - ss.gamma_cw)) > 1e-12 * scale):
+    g = engine.channel_fluxes(rc.values, ss.rho.values)
+    x, y, ok = engine.xy(rc.values, g, ss.gamma_cw)
+    if not ok:
         raise NumericalError("channel fluxes inconsistent with the cycle flux")
-    return x, y
+    return float(x), float(y)
 
 
 def pq_ratio(rc: RateConstants) -> float:
@@ -129,17 +110,9 @@ def pq_ratio(rc: RateConstants) -> float:
     """
     if (rc.values <= 0).any():
         raise PreconditionError("cycle predictor needs strictly positive rates")
-    cycle_l = (rc.k_ab_l * rc.k_bd_u * rc.k_dc_l * rc.k_ca_u) / (
-        rc.k_ba_l * rc.k_db_u * rc.k_cd_l * rc.k_ac_u
-    )
-    if abs(math.log(cycle_l)) > 1e-9:
-        raise PreconditionError(
-            "cycle predictor is only valid when the upper-lead energy bias "
-            "vanishes (beta_l = beta_u)"
-        )
-    p = (1.0 + rc.k_ab_r / rc.k_ab_l) / (1.0 + rc.k_ba_r / rc.k_ba_l)
-    q = (1.0 + rc.k_cd_r / rc.k_cd_l) / (1.0 + rc.k_dc_r / rc.k_dc_l)
-    return p / q
+    ratio, status = engine.pq_status(rc.values)
+    engine.raise_for_status(status)
+    return float(ratio)
 
 
 def classify(fs: ForceSet, cs: CurrentSet, tol_sign: float = 1e-10,
@@ -152,64 +125,10 @@ def classify(fs: ForceSet, cs: CurrentSet, tol_sign: float = 1e-10,
     map to the cross effects.  Combinations that would make the entropy
     production rate negative raise :class:`SecondLawViolationError`.
     """
-    f_e, f_n = fs.f_e_r, fs.f_n_r
-    j_e, j_n = cs.j_e_r, cs.j_n_r
-    fe_zero = abs(f_e) <= tol_force
-    fn_zero = abs(f_n) <= tol_force
-
-    if fe_zero and fn_zero:
-        if abs(j_e) > tol_sign or abs(j_n) > tol_sign:
-            raise NumericalError(
-                f"zero forces must carry zero currents, got "
-                f"j_e_r={j_e!r}, j_n_r={j_n!r}"
-            )
-        return Regime.EQUILIBRIUM
-
-    if not fe_zero and not fn_zero and (f_e > 0) == (f_n > 0):
-        sign = 1.0 if f_e > 0 else -1.0
-        inverse_energy = sign * j_e < -tol_sign
-        inverse_particle = sign * j_n < -tol_sign
-        if inverse_energy and inverse_particle:
-            raise SecondLawViolationError(
-                "both currents run against two parallel forces"
-            )
-        if inverse_energy:
-            return Regime.ICC_ENERGY
-        if inverse_particle:
-            return Regime.ICC_PARTICLE
-        return Regime.NORMAL
-
-    if fe_zero or fn_zero:
-        if fe_zero:
-            sign = 1.0 if f_n > 0 else -1.0
-            if sign * j_n < -tol_sign:
-                raise SecondLawViolationError(
-                    "conjugate particle current opposes the only nonzero force"
-                )
-            if sign * j_e < -tol_sign:
-                return Regime.PSEUDO_ICC_ENERGY
-            return Regime.NORMAL
-        sign = 1.0 if f_e > 0 else -1.0
-        if sign * j_e < -tol_sign:
-            raise SecondLawViolationError(
-                "conjugate energy current opposes the only nonzero force"
-            )
-        if sign * j_n < -tol_sign:
-            return Regime.PSEUDO_ICC_PARTICLE
-        return Regime.NORMAL
-
-    # anti-parallel forces: conventional cross effects
-    cross_energy = j_e * f_e < -tol_sign * abs(f_e)
-    cross_particle = j_n * f_n < -tol_sign * abs(f_n)
-    if cross_energy and cross_particle:
-        raise SecondLawViolationError(
-            "both currents oppose their conjugate forces"
-        )
-    if cross_energy:
-        return Regime.CROSS_EFFECT_ENERGY
-    if cross_particle:
-        return Regime.CROSS_EFFECT_PARTICLE
-    return Regime.NORMAL
+    code, status = engine.classify(fs.f_e_r, fs.f_n_r, cs.j_e_r, cs.j_n_r,
+                                   tol_sign, tol_force)
+    engine.raise_for_status(status)
+    return REGIMES[int(code)]
 
 
 def cop(cs: CurrentSet, baths: BathConfig, fs: ForceSet) -> float | None:
@@ -281,39 +200,37 @@ def analyze_point(sys: SystemParams, baths: BathConfig,
                   tol_force: float = 1e-12) -> IccPoint:
     """Solve one configuration end to end and classify it.
 
-    The cycle predictor, regime label and performance figures are only
-    produced when the configuration actually is two-force reduced
-    (zero upper-lead energy bias); otherwise those fields are None.
+    A 1-point view of :func:`qdicc.engine.evaluate`: a failing gate raises
+    the typed exception of its status.  The cycle predictor, regime label
+    and performance figures are only produced when the configuration
+    actually is two-force reduced (zero upper-lead energy bias); otherwise
+    those fields are None.
     """
-    rc = rate_constants(sys, baths)
-    ss = steady_state(generator(rc))
-    cs = currents(rc, ss, sys, baths)
-    fs = forces_macro(baths)
-    x, y = xy_variables(rc, ss)
-    mn = mn_factors(rc)
-    macro = entropy_production_macro(cs, baths, fs)
-    micro = entropy_production_micro(rc, ss.rho)
-    report = conservation_report(cs)
+    res = (baths.l, baths.r, baths.u)
+    b = engine.evaluate(sys, tuple(r.beta for r in res), tuple(r.mu for r in res),
+                        tuple(r.gamma for r in res), tol_sign=tol_sign,
+                        tol_force=tol_force)
+    engine.raise_for_status(b.status[0])
+    cur = b.currents[:, 0]
 
-    reduced = abs(fs.f_e_u) <= tol_force
-    pq = pq_ratio(rc) if reduced else None
-    regime = classify(fs, cs, tol_sign=tol_sign, tol_force=tol_force) if reduced else None
-    zeta = cop(cs, baths, fs) if regime is Regime.ICC_ENERGY else None
-    eta = efficiency(cs, baths, fs) if regime is Regime.ICC_PARTICLE else None
+    def optional(values):
+        value = float(values[0])
+        return None if np.isnan(value) else value
+
     return IccPoint(
-        forces=fs,
-        currents=cs,
-        gamma_cw=ss.gamma_cw,
-        x=x,
-        y=y,
-        m=mn.m,
-        n=mn.n,
-        pq=pq,
-        regime=regime,
-        cop=zeta,
-        efficiency=eta,
-        sigma_macro=macro.sigma_dot_macro,
-        sigma_micro=micro.sigma_dot,
-        res_j_e=report.sum_j_e,
-        res_j_n=report.sum_j_n,
+        forces=ForceSet(*(float(f) for f in b.forces[:, 0])),
+        currents=CurrentSet(j_e=cur[0:3], j_n=cur[3:6], j_q=cur[6:9]),
+        gamma_cw=float(b.gamma_cw[0]),
+        x=float(b.x[0]),
+        y=float(b.y[0]),
+        m=float(b.m[0]),
+        n=float(b.n[0]),
+        pq=optional(b.pq),
+        regime=REGIMES[b.regime[0]] if b.regime[0] >= 0 else None,
+        cop=optional(b.cop),
+        efficiency=optional(b.eta),
+        sigma_macro=float(b.sigma_macro[0]),
+        sigma_micro=float(b.sigma_micro[0]),
+        res_j_e=float(b.res_j_e[0]),
+        res_j_n=float(b.res_j_n[0]),
     )

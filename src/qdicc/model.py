@@ -151,15 +151,6 @@ class BathConfig:
         return {Lead.L: self.l, Lead.R: self.r, Lead.U: self.u}[lead]
 
 
-# undirected transitions and the leads that drive them
-TRANSITION_LEADS: dict[frozenset, tuple[Lead, ...]] = {
-    frozenset((StateIndex.A, StateIndex.B)): (Lead.L, Lead.R),
-    frozenset((StateIndex.C, StateIndex.D)): (Lead.L, Lead.R),
-    frozenset((StateIndex.A, StateIndex.C)): (Lead.U,),
-    frozenset((StateIndex.B, StateIndex.D)): (Lead.U,),
-}
-
-
 @dataclass(frozen=True)
 class TransitionTable:
     """Transition energies omega_ij = eps_j - eps_i for the four allowed pairs."""

@@ -1,11 +1,12 @@
 """Steady-state populations and the clockwise cycle flux.
 
-The stationary distribution solves W rho = 0 with the fourth equation
-replaced by the normalization constraint, exactly mirroring the matrix
-construction used to derive the closed-form cycle flux.  At the stationary
-point the four legs of the cycle A->B->D->C->A carry a common net rate, the
-clockwise cycle flux Gamma_cw; the upper-lead energy current is kappa times
-this single number.
+The four states form the single ring A->B->D->C->A, so the stationary
+distribution comes in closed form from the matrix-tree theorem (see
+:mod:`qdicc.engine`): each state's weight is a sum of spanning-tree
+products of the rates read off the generator, with no linear solve and no
+subtraction.  At the stationary point the four legs of the cycle carry a
+common net rate, the clockwise cycle flux Gamma_cw; the upper-lead energy
+current is kappa times this single number.
 """
 from __future__ import annotations
 
@@ -13,12 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
-from .errors import DegenerateNetworkError, NumericalError, PreconditionError
+from . import _kernels, engine
+from .errors import PreconditionError
 from .kinetics import Generator, PopulationVector
 from .model import BathConfig, SystemParams, transition_energies
-
-COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -33,36 +32,17 @@ class SteadyState:
 def steady_state(w: Generator) -> SteadyState:
     """Stationary point of the generator, with cycle-flux consistency checks.
 
-    Raises :class:`DegenerateNetworkError` when the normalized system is
-    singular or has a 1-norm condition estimate above 1e12, and
-    :class:`NumericalError` if the four cycle legs fail to agree, which
-    would indicate a corrupted generator rather than roundoff.
+    A 1-point view of :func:`qdicc.engine.stationary` over the ring rates in
+    the off-diagonal entries of W.  Raises :class:`DegenerateNetworkError`
+    when the spanning-tree normalization Z is zero or not finite, and
+    :class:`NumericalError` when |W rho| or the spread of the four cycle
+    legs exceeds 1e-12 times the largest rate, which would indicate a
+    corrupted generator rather than roundoff.
     """
     w_arr = w.matrix if isinstance(w, Generator) else np.asarray(w, float)
-    aug = w_arr.copy()
-    aug[3, :] = 1.0
-    cond = np.linalg.cond(aug, 1)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise DegenerateNetworkError(
-            f"steady-state system is degenerate (condition estimate {cond:.3e})"
-        )
-    rho, ok = _kernels.steady_rho(w_arr)
-    if not ok:
-        raise DegenerateNetworkError("steady-state system is exactly singular")
-    residual = float(np.abs(w_arr @ rho).max())
-    scale = max(1.0, float(np.abs(w_arr).max()))
-    if residual > 1e-12 * scale:
-        raise NumericalError(f"kernel residual {residual:.3e} exceeds tolerance")
-
-    legs = _kernels.cycle_legs(w_arr, rho)
-    gamma_cw = float(legs[0])
-    if float(np.abs(legs - gamma_cw).max()) > 1e-12 * scale:
-        raise NumericalError(
-            f"cycle legs disagree beyond tolerance: {np.asarray(legs)}"
-        )
-    # clip solver roundoff only; genuine negatives already failed above
-    rho = np.where(np.abs(rho) < 1e-15, np.abs(rho), rho)
-    return SteadyState(rho=PopulationVector(rho), gamma_cw=gamma_cw, legs=np.asarray(legs))
+    rho, gamma_cw, legs, status = engine.stationary(*engine.ring_from_generator(w_arr))
+    engine.raise_for_status(status)
+    return SteadyState(rho=PopulationVector(rho), gamma_cw=float(gamma_cw), legs=legs)
 
 
 def cycle_flux_closed_form(sys: SystemParams, baths: BathConfig) -> float:
@@ -75,9 +55,10 @@ def cycle_flux_closed_form(sys: SystemParams, baths: BathConfig) -> float:
                             - 2*g1*f2*(g2 - 1))
                    / (3*f1*(g1 - g2) - 6 + 3*f2*(g2 - g1))
 
-    which agrees with the linear solve identically (the denominator is the
-    negated spanning-tree normalization, the numerator the negated cycle
-    affinity imbalance).  Requires gamma_l = gamma_r = gamma_u.
+    which agrees with the spanning-tree steady state identically (the
+    denominator is the negated spanning-tree normalization, the numerator
+    the negated cycle affinity imbalance).  Requires gamma_l = gamma_r =
+    gamma_u.
     """
     g_l, g_r, g_u = baths.l.gamma, baths.r.gamma, baths.u.gamma
     gmax = max(g_l, g_r, g_u)

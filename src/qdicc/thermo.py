@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, engine
 from .errors import (DegenerateRateError, LogDomainError, NumericalError,
                      UndefinedForceError)
 from .kinetics import PopulationVector, RateConstants, Trajectory
@@ -96,14 +96,10 @@ def forces_macro(baths: BathConfig) -> ForceSet:
 
 def mn_factors(rc: RateConstants) -> MNFactors:
     """Rate-asymmetry ratios m and n of the two bottom-dot channels."""
-    den_m = rc.k_ba_r * rc.k_ab_l
-    den_n = rc.k_dc_r * rc.k_cd_l
+    m, n, den_m, den_n = engine.mn(rc.values)
     if den_m == 0.0 or den_n == 0.0:
         raise DegenerateRateError("rate-ratio denominator vanishes")
-    return MNFactors(
-        m=(rc.k_ab_r * rc.k_ba_l) / den_m,
-        n=(rc.k_cd_r * rc.k_dc_l) / den_n,
-    )
+    return MNFactors(m=float(m), n=float(n))
 
 
 def forces_micro(rc: RateConstants, sys: SystemParams) -> ForceSet:
@@ -121,9 +117,7 @@ def forces_micro(rc: RateConstants, sys: SystemParams) -> ForceSet:
         raise LogDomainError("microscopic forces need strictly positive rates")
     inv_kappa = 1.0 / sys.kappa
     theta = sys.theta
-    cycle_l = (rc.k_ab_l * rc.k_bd_u * rc.k_dc_l * rc.k_ca_u) / (
-        rc.k_ba_l * rc.k_db_u * rc.k_cd_l * rc.k_ac_u
-    )
+    cycle_l = float(engine.cycle_ratio_l(rc.values))
     mn = mn_factors(rc)
     log_m = math.log(mn.m)
     log_n = math.log(mn.n)
@@ -142,18 +136,15 @@ def entropy_production_macro(cs: CurrentSet, baths: BathConfig,
     force-flux sum; the two are the same identity modulo the conservation
     laws, so a mismatch beyond 1e-12 raises.
     """
-    sigma_q = -(baths.l.beta * cs.j_q_l + baths.r.beta * cs.j_q_r
-                + baths.u.beta * cs.j_q_u)
-    decomposition = (
-        cs.j_e_u * fs.f_e_u,
-        cs.j_e_r * fs.f_e_r,
-        cs.j_n_r * fs.f_n_r,
-    )
-    sigma_ff = decomposition[0] + decomposition[1] + decomposition[2]
-    if abs(sigma_q - sigma_ff) > 1e-12 * max(1.0, abs(sigma_q)):
+    sigma_q, decomposition = engine.entropy_macro(
+        (baths.l.beta, baths.r.beta, baths.u.beta),
+        np.concatenate((cs.j_e, cs.j_n, cs.j_q)), (fs.f_e_u, fs.f_e_r, fs.f_n_r))
+    sigma_q = float(sigma_q)
+    decomposition = tuple(float(d) for d in decomposition)
+    if not engine.macro_agrees(sigma_q, decomposition):
         raise NumericalError(
             f"heat-current and force-flux entropy rates disagree: "
-            f"{sigma_q!r} vs {sigma_ff!r}"
+            f"{sigma_q!r} vs {sum(decomposition)!r}"
         )
     return EntropyReport(sigma_dot_macro=sigma_q, decomposition=decomposition)
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
+from . import engine
 from .kinetics import PopulationVector, RateConstants
 from .model import BathConfig, SystemParams
 from .steadystate import SteadyState
@@ -86,11 +86,9 @@ def currents(rc: RateConstants, ss: SteadyState, sys: SystemParams,
     fluxes unweighted; J_Q subtracts mu_lam per transported particle.
     """
     rho = ss.rho.values if isinstance(ss.rho, PopulationVector) else np.asarray(ss.rho)
-    out = _kernels.currents_vector(
-        rc.values, rho, sys.eps_b, sys.eps_u, sys.kappa,
-        baths.l.mu, baths.r.mu, baths.u.mu,
-    )
-    return CurrentSet(j_e=out[0:3].copy(), j_n=out[3:6].copy(), j_q=out[6:9].copy())
+    out = engine.currents(sys, engine.channel_fluxes(rc.values, rho),
+                          (baths.l.mu, baths.r.mu, baths.u.mu))
+    return CurrentSet(j_e=out[0:3], j_n=out[3:6], j_q=out[6:9])
 
 
 def conservation_report(cs: CurrentSet) -> ConservationReport:

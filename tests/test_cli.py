@@ -1,6 +1,8 @@
 """Command-line surface: config parsing, outputs, determinism, exit codes."""
+import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,7 +221,54 @@ class TestSweep:
         assert rows[0][4] == ""  # currents left empty
 
 
+    def test_fermi_tail_cell_gets_a_typed_status(self, tmp_path):
+        # F_E = -0.99, F_N = -711.86 sends q of the cycle predictor to zero;
+        # the sweep used to abort there with an untyped ZeroDivisionError
+        text = SWEEP_CONFIG.replace("F_E_min = 0.1", "F_E_min = -0.99") \
+                           .replace("F_E_max = 1.9", "F_E_max = 1.0") \
+                           .replace("F_N_min = 0.1", "F_N_min = -711.86") \
+                           .replace("F_N_max = 1.9", "F_N_max = 1.0") \
+                           .replace("F_E_steps = 7", "F_E_steps = 2") \
+                           .replace("F_N_steps = 5", "F_N_steps = 2")
+        cfg = write(tmp_path, "tail.cfg", text)
+        out = tmp_path / "tail.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "qdicc", "sweep", "--config", cfg, "--out", str(out)],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = out.read_text().splitlines()
+        assert len(lines) == 1 + 2 * 2
+        idx = {name: i for i, name in enumerate(COLUMNS)}
+        rows = {(float(r[0]), float(r[1])): r for r in
+                (line.split(",") for line in lines[1:])}
+        assert rows[(-0.99, -711.86)][idx["status"]].startswith("error:")
+        for row in rows.values():
+            assert row[idx["status"]] == "ok" or row[idx["status"]].startswith("error:")
+            for name, cell in zip(COLUMNS, row):
+                if cell and name not in ("regime", "status"):
+                    assert math.isfinite(float(cell)), (name, cell)
+
+    def test_config_error_writes_no_output(self, tmp_path):
+        bad = SWEEP_CONFIG.replace("F_E_min = 0.1", "F_E_min = -2.0")
+        cfg = write(tmp_path, "bad.cfg", bad)
+        out = tmp_path / "never.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert not out.exists()
+
+
 class TestClassifyMap:
+    def test_inverse_plane_map_is_frozen(self, tmp_path):
+        # regime and status of all 10^4 cells of the shipped config, as
+        # recorded before the batched engine replaced the per-point solve
+        root = Path(__file__).resolve().parent.parent
+        out = tmp_path / "map.txt"
+        assert main(["classify-map", "--config",
+                     str(root / "configs" / "inverse_plane.cfg"),
+                     "--out", str(out)]) == 0
+        golden = Path(__file__).resolve().parent / "data" / "inverse_plane.map"
+        assert out.read_text() == golden.read_text()
+
     def test_grid_shape_and_legend(self, tmp_path):
         cfg = write(tmp_path, "sweep.cfg", SWEEP_CONFIG)
         out = tmp_path / "map.txt"
@@ -270,6 +319,12 @@ class TestExitCodes:
         bad = SWEEP_CONFIG.replace("F_E_min = 0.1", "F_E_min = -2.0")
         cfg = write(tmp_path, "bad.cfg", bad)
         assert main(["sweep", "--config", cfg]) == 2
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    code = ("import sys, qdicc.cli; "
+            "sys.exit('multiprocessing' in sys.modules)")
+    assert subprocess.run([sys.executable, "-c", code], timeout=300).returncode == 0
 
 
 def test_module_entry_point(tmp_path):
