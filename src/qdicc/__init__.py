@@ -10,7 +10,10 @@ and engine efficiency where defined.
 
 __version__ = "0.1.0"
 
-from ._kernels import NUMBA_ENABLED
+# The package has a single numpy backend; this constant stays False for
+# benchmark run fingerprints that record it.
+NUMBA_ENABLED = False
+
 from .errors import (ConfigError, DegenerateNetworkError, DegenerateRateError,
                      ForbiddenTransitionError, IntegrationError,
                      LogDomainError, NumericalError, PreconditionError,

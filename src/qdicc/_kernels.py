@@ -1,12 +1,16 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Numeric kernels of the 4-state ring, in plain numpy.
 
-Every kernel is written as plain scalar/array Python that numba can compile
-in nopython mode.  When the environment variable ``QDICC_NUMBA`` is set to
-``0``/``false``/``off``/``no`` (or numba is unavailable) the very same
-functions run uncompiled, so both backends execute identical arithmetic in
-identical order.  Jitted kernels keep the original Python function on their
-``py_func`` attribute, which the test suite and the benchmark use to compare
-the two paths.
+Array kernels are channel-major: rate constants are (12, ...) in the
+channel order below and populations (4, ...) in state order, so one
+function serves a single point (rates of shape (12,)) and a batch (rates
+of shape (12, N)).  Rates (:func:`rate_vector`), channel fluxes
+(:func:`channel_fluxes`) and the network-form entropy
+(:func:`schnakenberg`) each have exactly one implementation, here.
+
+``solve4``, ``steady_rho``, ``cycle_legs`` and ``currents_vector`` are no
+longer called by the package: the spanning-tree steady state of
+:mod:`qdicc.engine` replaced the dense solve.  They remain only because the
+span tracer in ``perfbench/spans.py`` looks each of them up by name.
 
 Channel layout for the 12 directed reservoir-resolved rate constants::
 
@@ -18,35 +22,19 @@ States are indexed A=0, B=1, C=2, D=3 throughout.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_flag = os.environ.get("QDICC_NUMBA", "1").strip().lower()
-NUMBA_ENABLED = _flag not in ("0", "false", "off", "no")
-
-if NUMBA_ENABLED:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        NUMBA_ENABLED = False
-
-if not NUMBA_ENABLED:
-    def njit(*args, **kwargs):
-        """No-op stand-in for numba.njit selecting the pure-numpy path."""
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
-
-
-# channel indices, kept as module-level ints so njit code can close over them
 L_AB, L_BA, L_CD, L_DC = 0, 1, 2, 3
 R_AB, R_BA, R_CD, R_DC = 4, 5, 6, 7
 U_AC, U_CA, U_BD, U_DB = 8, 9, 10, 11
+
+# the six (lead, pair) channels: excitation channel, its reversal, and the
+# lower and upper state of the pair; order AB via l, AB via r, CD via l,
+# CD via r, AC via u, BD via u
+_EXCITE = np.array((L_AB, R_AB, L_CD, R_CD, U_AC, U_BD))
+_RELAX = np.array((L_BA, R_BA, L_DC, R_DC, U_CA, U_DB))
+_LOWER = np.array((0, 0, 2, 2, 0, 1))
+_UPPER = np.array((1, 1, 3, 3, 2, 3))
 
 # rk4 failure codes
 EVOLVE_OK = 0
@@ -54,7 +42,6 @@ EVOLVE_DRIFT = 1
 EVOLVE_NEGATIVE = 2
 
 
-@njit(cache=True)
 def fermi_occ(beta, mu, omega):
     """Occupation [1 + exp(beta*(omega - mu))]^-1, overflow-safe branch form."""
     x = beta * (omega - mu)
@@ -64,64 +51,34 @@ def fermi_occ(beta, mu, omega):
     return 1.0 / (1.0 + np.exp(x))
 
 
-@njit(cache=True)
-def fermi_pair(beta, mu, omega):
-    """Occupation and hole factors sharing one stable branch.
+def rate_vector(eps_b, eps_u, kappa, beta, mu, gamma):
+    """The 12 directed rate constants gamma_lam * f^(+/-), shape (12, ...).
 
-    Both factors come out with small relative (not just absolute) error,
-    which matters because entropic forces take logarithms of the rates;
-    computing the hole factor as 1 - f would lose all significance when
-    f is close to one.
+    ``beta``, ``mu`` and ``gamma`` are (l, r, u) triples of scalars (one
+    point, rates of shape (12,)) or of arrays of one shape (N,) (a batch,
+    rates of shape (12, N)).  Each excitation/de-excitation pair shares one
+    occupation evaluation in an overflow-safe branch form, so the fermionic
+    sum rule k+ + k- = gamma holds to within an ulp and both partners keep
+    full relative accuracy even deep in the Fermi tails; computing the hole
+    factor as 1 - f would lose all significance when f is close to one.
     """
-    x = beta * (omega - mu)
-    if x >= 0.0:
-        e = np.exp(-x)
-        den = 1.0 + e
-        return e / den, 1.0 / den
-    e = np.exp(x)
+    beta, mu, gamma = (np.asarray(v, dtype=float) for v in (beta, mu, gamma))
+    # per channel pair in channel order: its lead (l, l, r, r, u, u) and energy
+    lead = [0, 0, 1, 1, 2, 2]
+    omega = np.array((eps_b, eps_b + kappa) * 2 + (eps_u, eps_u + kappa))
+    omega = omega.reshape((6,) + (1,) * (beta.ndim - 1))
+    x = beta[lead] * (omega - mu[lead])
+    g = gamma[lead]
+    e = np.exp(-np.abs(x))
     den = 1.0 + e
-    return 1.0 / den, e / den
-
-
-@njit(cache=True)
-def rate_vector(eps_b, eps_u, kappa,
-                beta_l, beta_r, beta_u,
-                mu_l, mu_r, mu_u,
-                gamma_l, gamma_r, gamma_u):
-    """The 12 directed rate constants gamma_lam * f^(+/-) in channel order.
-
-    Each excitation/de-excitation pair shares one occupation evaluation, so
-    the fermionic sum rule k+ + k- = gamma holds to within an ulp and both
-    partners keep full relative accuracy even deep in the Fermi tails.
-    """
-    w_ab = eps_b
-    w_cd = eps_b + kappa
-    w_ac = eps_u
-    w_bd = eps_u + kappa
-
-    k = np.empty(12)
-    occ, hole = fermi_pair(beta_l, mu_l, w_ab)
-    k[L_AB] = gamma_l * occ
-    k[L_BA] = gamma_l * hole
-    occ, hole = fermi_pair(beta_l, mu_l, w_cd)
-    k[L_CD] = gamma_l * occ
-    k[L_DC] = gamma_l * hole
-    occ, hole = fermi_pair(beta_r, mu_r, w_ab)
-    k[R_AB] = gamma_r * occ
-    k[R_BA] = gamma_r * hole
-    occ, hole = fermi_pair(beta_r, mu_r, w_cd)
-    k[R_CD] = gamma_r * occ
-    k[R_DC] = gamma_r * hole
-    occ, hole = fermi_pair(beta_u, mu_u, w_ac)
-    k[U_AC] = gamma_u * occ
-    k[U_CA] = gamma_u * hole
-    occ, hole = fermi_pair(beta_u, mu_u, w_bd)
-    k[U_BD] = gamma_u * occ
-    k[U_DB] = gamma_u * hole
+    small, big = e / den, 1.0 / den
+    upper = x >= 0.0
+    k = np.empty((12, *x.shape[1:]))
+    k[0::2] = g * np.where(upper, small, big)  # even channels excite
+    k[1::2] = g * np.where(upper, big, small)
     return k
 
 
-@njit(cache=True)
 def generator_matrix(k):
     """4x4 Markov generator W with W[j, i] = total rate i -> j.
 
@@ -146,12 +103,10 @@ def generator_matrix(k):
     return w
 
 
-@njit(cache=True)
 def solve4(a_in, b_in):
     """Solve a 4x4 dense system by Gaussian elimination with partial pivoting.
 
-    Returns (x, ok); ok is False when a pivot vanishes.  Hand-rolled so the
-    jitted and uncompiled paths share bitwise-identical arithmetic.
+    Returns (x, ok); ok is False when a pivot vanishes.
     """
     a = a_in.copy()
     b = b_in.copy()
@@ -190,7 +145,6 @@ def solve4(a_in, b_in):
     return x, True
 
 
-@njit(cache=True)
 def steady_rho(w):
     """Kernel of the generator, normalized: solve W rho = 0 with the last
     row replaced by the probability constraint sum(rho) = 1."""
@@ -202,7 +156,6 @@ def steady_rho(w):
     return solve4(a, b)
 
 
-@njit(cache=True)
 def cycle_legs(w, rho):
     """Net rates along the four legs of the cycle A->B->D->C->A.
 
@@ -217,23 +170,14 @@ def cycle_legs(w, rho):
     return legs
 
 
-@njit(cache=True)
 def channel_fluxes(k, rho):
-    """Net excitation-direction fluxes for the six (lead, pair) channels.
+    """Net excitation-direction fluxes (6, ...) of the (lead, pair) channels.
 
     Order: AB via l, AB via r, CD via l, CD via r, AC via u, BD via u.
     """
-    g = np.empty(6)
-    g[0] = k[L_AB] * rho[0] - k[L_BA] * rho[1]
-    g[1] = k[R_AB] * rho[0] - k[R_BA] * rho[1]
-    g[2] = k[L_CD] * rho[2] - k[L_DC] * rho[3]
-    g[3] = k[R_CD] * rho[2] - k[R_DC] * rho[3]
-    g[4] = k[U_AC] * rho[0] - k[U_CA] * rho[2]
-    g[5] = k[U_BD] * rho[1] - k[U_DB] * rho[3]
-    return g
+    return k[_EXCITE] * rho[_LOWER] - k[_RELAX] * rho[_UPPER]
 
 
-@njit(cache=True)
 def currents_vector(k, rho, eps_b, eps_u, kappa, mu_l, mu_r, mu_u):
     """Per-lead energy, particle and heat currents (l, r, u order).
 
@@ -261,42 +205,27 @@ def currents_vector(k, rho, eps_b, eps_u, kappa, mu_l, mu_r, mu_u):
     return out
 
 
-@njit(cache=True)
 def schnakenberg(k, rho):
     """Entropy production rate, entropy flux rate and the six production
-    summands, from the rate-log network form.
+    summands, from the rate-log network form (J. Schnakenberg, Rev. Mod.
+    Phys. 48, 571 (1976)).
 
-    Each production summand is (a - b) * ln(a / b) with a, b the directed
-    one-way fluxes of a channel, hence individually non-negative.  The flux
-    term per channel is -(a - b) * ln(k_fwd / k_bwd).  Requires strictly
-    positive rates and populations; the wrapper validates.
+    Each production summand is (a - b) ln(a / b) with a, b the one-way
+    fluxes of a channel of :func:`channel_fluxes`, in its order, hence
+    individually non-negative; the flux rate is minus the sum of (a - b)
+    ln(k_excite / k_relax).  Rates (12, ...) and populations (4, ...) must
+    broadcast: pass rates of shape (12, 1) to evaluate one rate set along a
+    (4, n) trajectory.  Returns (sigma, phi, terms) with terms (6, ...).
+    Requires strictly positive rates and populations; callers validate.
     """
-    fwd_k = np.empty(6)
-    bwd_k = np.empty(6)
-    fwd_p = np.empty(6)
-    bwd_p = np.empty(6)
-    # channels: (A->B, l), (A->B, r), (B->D, u), (D->C, l), (D->C, r), (C->A, u)
-    fwd_k[0] = k[L_AB]; bwd_k[0] = k[L_BA]; fwd_p[0] = rho[0]; bwd_p[0] = rho[1]
-    fwd_k[1] = k[R_AB]; bwd_k[1] = k[R_BA]; fwd_p[1] = rho[0]; bwd_p[1] = rho[1]
-    fwd_k[2] = k[U_BD]; bwd_k[2] = k[U_DB]; fwd_p[2] = rho[1]; bwd_p[2] = rho[3]
-    fwd_k[3] = k[L_DC]; bwd_k[3] = k[L_CD]; fwd_p[3] = rho[3]; bwd_p[3] = rho[2]
-    fwd_k[4] = k[R_DC]; bwd_k[4] = k[R_CD]; fwd_p[4] = rho[3]; bwd_p[4] = rho[2]
-    fwd_k[5] = k[U_CA]; bwd_k[5] = k[U_AC]; fwd_p[5] = rho[2]; bwd_p[5] = rho[0]
-
-    terms = np.empty(6)
-    sigma = 0.0
-    phi = 0.0
-    for c in range(6):
-        a = fwd_k[c] * fwd_p[c]
-        b = bwd_k[c] * bwd_p[c]
-        flux = a - b
-        terms[c] = flux * np.log(a / b)
-        sigma += terms[c]
-        phi -= flux * np.log(fwd_k[c] / bwd_k[c])
-    return sigma, phi, terms
+    a = k[_EXCITE] * rho[_LOWER]
+    b = k[_RELAX] * rho[_UPPER]
+    flux = a - b
+    terms = flux * np.log(a / b)
+    phi = -(flux * np.log(k[_EXCITE] / k[_RELAX])).sum(axis=0)
+    return terms.sum(axis=0), phi, terms
 
 
-@njit(cache=True)
 def rk4_evolve(w, rho0, dt, n_steps, sample_stride,
                renorm_tol, drift_tol, negative_tol):
     """Fixed-step classic 4th-order integration of d(rho)/dt = W rho.

@@ -1,8 +1,9 @@
 """Command-line interface: single-point solves, force-plane sweeps, regime maps.
 
-Exit codes: 0 success, 2 configuration/parse error, 3 violated physics
-precondition, 4 numerical failure.  Sweep output is deterministic: the same
-config produces byte-identical CSV regardless of the worker count.
+Exit codes: 0 success, 2 configuration/parse error or unwritable output,
+3 violated physics precondition, 4 numerical failure.  Sweep output is
+deterministic: the same config produces byte-identical CSV regardless of
+the worker count.
 """
 from __future__ import annotations
 
@@ -33,6 +34,17 @@ REGIME_CODES = {
 }
 
 
+def _worker_count(text: str) -> int:
+    """argparse type of --threads: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qdicc",
@@ -49,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to a key = value config file")
         cmd.add_argument("--out", default="-", help="output path, or - for stdout")
-        cmd.add_argument("--threads", type=int, default=1,
+        cmd.add_argument("--threads", type=_worker_count, default=1,
                          help="worker processes for sweeps (default 1)")
         cmd.add_argument("--tol-sign", type=float, default=1e-10,
                          help="current magnitude treated as numerically zero")
@@ -190,6 +202,9 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return 2
     except (PreconditionError, ValueError) as exc:
         print(f"precondition error: {exc}", file=sys.stderr)

@@ -12,7 +12,8 @@ formula vectorizes over a whole grid.
 Arrays are channel-major: rates are (12, ...) in the channel order of
 :mod:`qdicc._kernels`, populations (4, ...) in state order A, B, C, D.  The
 same functions therefore serve one point (rates of shape (12,)) and a batch
-(shape (12, N)).
+(shape (12, N)).  Rates, channel fluxes and the network-form entropy come
+from the array kernels of :mod:`qdicc._kernels`.
 
 Per-point failures never raise here.  Every gate of the point pipeline is a
 vectorized mask that sets the row's status code (the first failing gate in
@@ -27,7 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import (L_AB, L_BA, L_CD, L_DC, R_AB, R_BA, R_CD, R_DC, U_AC,
-                       U_BD, U_CA, U_DB)
+                       U_BD, U_CA, U_DB, channel_fluxes, rate_vector,
+                       schnakenberg)
 from .errors import (DegenerateNetworkError, DegenerateRateError,
                      LogDomainError, NumericalError, PreconditionError,
                      SecondLawViolationError)
@@ -106,40 +108,8 @@ def _first(cases, default=OK):
     return out
 
 
-# the six (lead, pair) channels: excitation channel, its reversal, and the
-# lower and upper state of the pair; order AB via l, AB via r, CD via l,
-# CD via r, AC via u, BD via u
-_EXCITE = np.array((L_AB, R_AB, L_CD, R_CD, U_AC, U_BD))
-_RELAX = np.array((L_BA, R_BA, L_DC, R_DC, U_CA, U_DB))
-_LOWER = np.array((0, 0, 2, 2, 0, 1))
-_UPPER = np.array((1, 1, 3, 3, 2, 3))
 # neighbours of ring state j: j - 1, j - 2 (= j + 2) and j + 1 (= j - 3)
 _PREV1, _PREV2, _NEXT1 = np.array((3, 0, 1, 2)), np.array((2, 3, 0, 1)), np.array((1, 2, 3, 0))
-
-
-def rates(sys: SystemParams, beta, mu, gamma) -> np.ndarray:
-    """The 12 directed rate constants, shape (12, N).
-
-    ``beta``, ``mu`` and ``gamma`` are (l, r, u) triples of arrays of shape
-    (N,).  Each excitation/de-excitation pair shares one occupation
-    evaluation in the overflow-safe branch form of
-    :func:`qdicc._kernels.fermi_pair`, so both partners keep full relative
-    accuracy deep in the Fermi tails.
-    """
-    # per channel pair in channel order: its lead (l, l, r, r, u, u) and energy
-    lead = [0, 0, 1, 1, 2, 2]
-    omega = np.array((sys.eps_b, sys.eps_b + sys.kappa) * 2
-                     + (sys.eps_u, sys.eps_u + sys.kappa))[:, None]
-    x = np.asarray(beta)[lead] * (omega - np.asarray(mu)[lead])
-    g = np.asarray(gamma)[lead]
-    e = np.exp(-np.abs(x))
-    den = 1.0 + e
-    small, big = e / den, 1.0 / den
-    upper = x >= 0.0
-    k = np.empty((12, *x.shape[1:]))
-    k[0::2] = g * np.where(upper, small, big)  # even channels excite
-    k[1::2] = g * np.where(upper, big, small)
-    return k
 
 
 def ring(k):
@@ -188,14 +158,6 @@ def stationary(fwd, bwd):
                          (~(residual <= tol), RESIDUAL),
                          (~(np.abs(legs - gamma_cw).max(axis=0) <= tol), LEGS)])
     return p[list(RING)], gamma_cw, legs, status
-
-
-def channel_fluxes(k, rho):
-    """Net excitation-direction fluxes (6, ...) of the (lead, pair) channels.
-
-    Order: AB via l, AB via r, CD via l, CD via r, AC via u, BD via u.
-    """
-    return k[_EXCITE] * rho[_LOWER] - k[_RELAX] * rho[_UPPER]
 
 
 def currents(sys: SystemParams, g, mu):
@@ -275,15 +237,6 @@ def pq_status(k):
                     & np.isfinite(ratio) & (ratio > 0.0))
         return ratio, _first([(~in_range, PQ_RANGE),
                               (~(np.abs(np.log(cycle)) <= 1e-9), UNREDUCED)])
-
-
-def sigma_micro(k, rho):
-    """Network-form entropy production: the sum over the six channels of
-    (a - b) ln(a / b), with a, b their one-way fluxes."""
-    a = k[_EXCITE] * rho[_LOWER]
-    b = k[_RELAX] * rho[_UPPER]
-    with np.errstate(all="ignore"):
-        return ((a - b) * np.log(a / b)).sum(axis=0)
 
 
 def classify(f_e, f_n, j_e, j_n, tol_sign, tol_force):
@@ -381,7 +334,7 @@ def evaluate(sys: SystemParams, beta, mu, gamma, tol_sign: float = 1e-10,
                            beta[1] * mu[1] - beta[0] * mu[0]))
         bad_baths = ~(np.isfinite(bath).all(axis=0) & np.isfinite(forces).all(axis=0)
                       & (beta > 0).all(axis=0) & (gamma > 0).all(axis=0))
-        k = rates(sys, beta, mu, gamma)
+        k = rate_vector(sys.eps_b, sys.eps_u, sys.kappa, beta, mu, gamma)
         bad_rates = ~(np.isfinite(k) & (k >= 0.0)).all(axis=0)
 
         rho, gamma_cw, legs, ss_status = stationary(*ring(k))
@@ -392,7 +345,7 @@ def evaluate(sys: SystemParams, beta, mu, gamma, tol_sign: float = 1e-10,
         m, n, den_m, den_n = mn(k)
         sigma_macro, decomposition = entropy_macro(beta, cur, forces)
         log_domain = (k <= 0.0).any(axis=0) | (rho <= 0.0).any(axis=0)
-        micro = sigma_micro(k, rho)
+        micro = schnakenberg(k, rho)[0]
 
         reduced = np.abs(forces[0]) <= tol_force
         ratio, pq_codes = pq_status(k)

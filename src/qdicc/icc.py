@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import engine
+from . import _kernels, engine
 from .engine import REGIMES, Regime
 from .errors import NumericalError, PreconditionError
 from .kinetics import RateConstants
@@ -86,7 +86,7 @@ def xy_variables(rc: RateConstants, ss: SteadyState) -> tuple[float, float]:
     particle current is (x + y)/2, and the individual right-lead channel
     fluxes recombine as (x + Gamma_cw)/2 and (y - Gamma_cw)/2.
     """
-    g = engine.channel_fluxes(rc.values, ss.rho.values)
+    g = _kernels.channel_fluxes(rc.values, ss.rho.values)
     x, y, ok = engine.xy(rc.values, g, ss.gamma_cw)
     if not ok:
         raise NumericalError("channel fluxes inconsistent with the cycle flux")

@@ -175,13 +175,10 @@ class Generator:
 
 def rate_constants(sys: SystemParams, baths: BathConfig) -> RateConstants:
     """All 12 directed rate constants for the given system and reservoirs."""
-    k = _kernels.rate_vector(
-        sys.eps_b, sys.eps_u, sys.kappa,
-        baths.l.beta, baths.r.beta, baths.u.beta,
-        baths.l.mu, baths.r.mu, baths.u.mu,
-        baths.l.gamma, baths.r.gamma, baths.u.gamma,
-    )
-    return RateConstants(k)
+    res = (baths.l, baths.r, baths.u)
+    return RateConstants(_kernels.rate_vector(
+        sys.eps_b, sys.eps_u, sys.kappa, tuple(r.beta for r in res),
+        tuple(r.mu for r in res), tuple(r.gamma for r in res)))
 
 
 def generator(rc: RateConstants) -> Generator:
@@ -221,7 +218,12 @@ def evolve(rho0, w, dt: float, t_end: float, sample_stride: int = 1) -> Trajecto
     repaired by renormalizing, but drift beyond 1e-9 or a population below
     -1e-9 aborts with :class:`IntegrationError` (shrink dt).  Samples are
     recorded every ``sample_stride`` steps plus the initial and final states.
+    ``rho0`` is four populations (a :class:`PopulationVector` or any
+    sequence); ``dt``, ``t_end`` and every entry of ``rho0`` and ``w`` must
+    be finite.
     """
+    if not (np.isfinite(dt) and np.isfinite(t_end)):
+        raise ValueError(f"dt and t_end must be finite, got dt={dt}, t_end={t_end}")
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if t_end < dt:
@@ -230,6 +232,10 @@ def evolve(rho0, w, dt: float, t_end: float, sample_stride: int = 1) -> Trajecto
         raise ValueError("sample_stride must be >= 1")
     rho_arr = rho0.values if isinstance(rho0, PopulationVector) else np.asarray(rho0, float)
     w_arr = w.matrix if isinstance(w, Generator) else np.asarray(w, float)
+    if rho_arr.shape != (4,):
+        raise ValueError(f"rho0 must hold 4 populations, got shape {rho_arr.shape}")
+    if not (np.isfinite(rho_arr).all() and np.isfinite(w_arr).all()):
+        raise ValueError("rho0 and w must be finite")
     n_steps = int(round(t_end / dt))
     times, samples, n_out, code, step = _kernels.rk4_evolve(
         w_arr, rho_arr.astype(float), float(dt), n_steps, int(sample_stride),

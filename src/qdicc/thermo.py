@@ -173,7 +173,8 @@ def entropy_production_micro(rc: RateConstants, rho) -> EntropyReport:
 
 
 def schnakenberg_terms(rc: RateConstants, rho) -> np.ndarray:
-    """The six individually non-negative production summands."""
+    """The six individually non-negative production summands, in the
+    channel order of :func:`qdicc._kernels.channel_fluxes`."""
     if np.any(rc.values <= 0.0):
         raise LogDomainError("network entropy form needs strictly positive rates")
     values = _validated_rho(rho)
@@ -213,13 +214,7 @@ def entropy_balance_transient(trajectory: Trajectory,
         raise LogDomainError("network entropy form needs strictly positive rates")
     shannon = -np.sum(pops * np.log(pops), axis=1)
     ds_dt = (shannon[2:] - shannon[:-2]) / (times[2:] - times[:-2])
-    n = len(times) - 2
-    sigma = np.empty(n)
-    phi = np.empty(n)
-    for idx in range(1, len(times) - 1):
-        s, p, _t = _kernels.schnakenberg(rc.values, pops[idx])
-        sigma[idx - 1] = s
-        phi[idx - 1] = p
+    sigma, phi, _terms = _kernels.schnakenberg(rc.values[:, None], pops[1:-1].T)
     return TransientEntropyBalance(
         times=times[1:-1].copy(), ds_dt=ds_dt, sigma_dot=sigma, phi_dot=phi
     )

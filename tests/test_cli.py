@@ -320,6 +320,25 @@ class TestExitCodes:
         cfg = write(tmp_path, "bad.cfg", bad)
         assert main(["sweep", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("command, text", [("sweep", SWEEP_CONFIG),
+                                               ("solve", POINT_CONFIG)],
+                             ids=["sweep", "solve"])
+    def test_unwritable_output(self, tmp_path, capsys, command, text):
+        cfg = write(tmp_path, "run.cfg", text)
+        out = tmp_path / "no" / "such" / "dir" / "x.csv"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error:") and err.count("\n") == 1
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_rejected(self, tmp_path, capsys, threads):
+        cfg = write(tmp_path, "sweep.cfg", SWEEP_CONFIG)
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", cfg, "--threads", threads])
+        assert exc.value.code == 2
+        assert "--threads: must be at least 1" in capsys.readouterr().err
+
 
 def test_cli_import_leaves_the_process_pool_out():
     code = ("import sys, qdicc.cli; "

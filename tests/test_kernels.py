@@ -1,76 +1,7 @@
-"""Agreement between the jitted kernels and their pure-Python originals."""
+"""The hand-rolled 4x4 solver kernel against numpy's dense solve."""
 import numpy as np
-import pytest
 
 from qdicc import _kernels
-
-from conftest import random_baths, random_system
-
-
-def py_func(kernel):
-    """The uncompiled implementation behind a (possibly) jitted kernel."""
-    return getattr(kernel, "py_func", kernel)
-
-
-def random_inputs(rng):
-    sys = random_system(rng)
-    baths = random_baths(rng, equal_gamma=False)
-    return (sys.eps_b, sys.eps_u, sys.kappa,
-            baths.l.beta, baths.r.beta, baths.u.beta,
-            baths.l.mu, baths.r.mu, baths.u.mu,
-            baths.l.gamma, baths.r.gamma, baths.u.gamma)
-
-
-class TestDualPath:
-    def test_rate_vector_paths_agree(self):
-        rng = np.random.default_rng(201)
-        for _ in range(50):
-            args = random_inputs(rng)
-            jit_k = _kernels.rate_vector(*args)
-            ref_k = py_func(_kernels.rate_vector)(*args)
-            assert np.array_equal(jit_k, ref_k)
-
-    def test_solver_paths_agree(self):
-        rng = np.random.default_rng(211)
-        for _ in range(50):
-            k = _kernels.rate_vector(*random_inputs(rng))
-            w_jit = _kernels.generator_matrix(k)
-            w_ref = py_func(_kernels.generator_matrix)(k)
-            assert np.array_equal(w_jit, w_ref)
-            rho_jit, ok_jit = _kernels.steady_rho(w_jit)
-            rho_ref, ok_ref = py_func(_kernels.steady_rho)(w_ref)
-            assert ok_jit and ok_ref
-            assert np.abs(rho_jit - rho_ref).max() < 1e-15
-
-    def test_current_and_entropy_paths_agree(self):
-        rng = np.random.default_rng(221)
-        for _ in range(25):
-            args = random_inputs(rng)
-            k = _kernels.rate_vector(*args)
-            rho, _ = _kernels.steady_rho(_kernels.generator_matrix(k))
-            cur_jit = _kernels.currents_vector(k, rho, args[0], args[1], args[2],
-                                               args[6], args[7], args[8])
-            cur_ref = py_func(_kernels.currents_vector)(k, rho, args[0], args[1],
-                                                        args[2], args[6], args[7],
-                                                        args[8])
-            assert np.abs(np.asarray(cur_jit) - np.asarray(cur_ref)).max() < 1e-15
-            s_jit = _kernels.schnakenberg(k, rho)
-            s_ref = py_func(_kernels.schnakenberg)(k, rho)
-            assert abs(s_jit[0] - s_ref[0]) < 1e-14
-            assert abs(s_jit[1] - s_ref[1]) < 1e-14
-
-    def test_rk4_paths_agree(self):
-        rng = np.random.default_rng(231)
-        k = _kernels.rate_vector(*random_inputs(rng))
-        w = _kernels.generator_matrix(k)
-        rho0 = np.full(4, 0.25)
-        out_jit = _kernels.rk4_evolve(w, rho0, 1e-3, 2000, 100, 1e-12, 1e-9, 1e-9)
-        out_ref = py_func(_kernels.rk4_evolve)(w, rho0, 1e-3, 2000, 100,
-                                               1e-12, 1e-9, 1e-9)
-        n = out_jit[2]
-        assert n == out_ref[2]
-        assert out_jit[3] == out_ref[3] == _kernels.EVOLVE_OK
-        assert np.abs(out_jit[1][:n] - out_ref[1][:n]).max() < 1e-14
 
 
 class TestSolve4:
@@ -97,8 +28,3 @@ class TestSolve4:
         _kernels.solve4(a, b)
         assert np.array_equal(a, a0)
         assert np.array_equal(b, b0)
-
-
-@pytest.mark.skipif(not _kernels.NUMBA_ENABLED, reason="running on the numpy path")
-def test_numba_backend_is_active():
-    assert hasattr(_kernels.rate_vector, "py_func")

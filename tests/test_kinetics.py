@@ -159,3 +159,31 @@ class TestEvolve:
             evolve(np.full(4, 0.25), w, dt=0.0, t_end=1.0)
         with pytest.raises(ValueError):
             evolve(np.full(4, 0.25), w, dt=0.5, t_end=0.1)
+
+    @pytest.mark.parametrize("dt, t_end", [(1e-3, np.inf), (np.nan, 1.0),
+                                           (1e-3, np.nan), (np.inf, 1.0)])
+    def test_non_finite_times_rejected(self, dt, t_end):
+        with pytest.raises(ValueError, match="finite"):
+            evolve([0.25, 0.25, 0.25, 0.25], np.zeros((4, 4)), dt=dt, t_end=t_end)
+
+    def test_non_finite_populations_or_generator_rejected(self):
+        # a NaN would slip past the per-step drift check and fill the
+        # trajectory with NaN instead of raising
+        w = generator(rate_constants(SystemParams(eps_b=1.0, eps_u=2.5, kappa=-1.5),
+                                     equal_baths(beta=1.0, mu=1.0)))
+        with pytest.raises(ValueError, match="finite"):
+            evolve([0.25, np.nan, 0.25, 0.5], w, dt=1e-3, t_end=0.01)
+        w_bad = w.matrix.copy()
+        w_bad[0, 0] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            evolve([0.25, 0.25, 0.25, 0.25], w_bad, dt=1e-3, t_end=0.01)
+
+    def test_rho0_must_hold_four_values(self):
+        with pytest.raises(ValueError, match="rho0"):
+            evolve([0.5, 0.5], np.zeros((4, 4)), dt=0.01, t_end=0.1)
+        with pytest.raises(ValueError, match="rho0"):
+            evolve(np.full((2, 4), 0.25), np.zeros((4, 4)), dt=0.01, t_end=0.1)
+
+    def test_list_input_accepted(self):
+        traj = evolve([0.7, 0.1, 0.1, 0.1], np.zeros((4, 4)), dt=0.01, t_end=0.1)
+        assert np.array_equal(traj.populations[-1], [0.7, 0.1, 0.1, 0.1])

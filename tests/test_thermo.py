@@ -8,6 +8,7 @@ from qdicc import (LogDomainError, RateConstants, UndefinedForceError,
                    forces_micro, generator, icc_reduction, mn_factors,
                    rate_constants, schnakenberg_terms, steady_state,
                    currents, thermoelectric_reduction)
+from qdicc import _kernels
 
 from conftest import equal_baths, gibbs_state, make_baths, random_baths, random_system
 
@@ -183,6 +184,22 @@ class TestEntropyMicro:
         with pytest.raises(LogDomainError):
             entropy_production_micro(RateConstants(values), np.full(4, 0.25))
 
+    def test_array_form_matches_point_calls(self):
+        # one call over a (4, n) trajectory against n one-point calls
+        rng = np.random.default_rng(193)
+        rc = rate_constants(random_system(rng), random_baths(rng))
+        traj = evolve(rng.dirichlet(np.ones(4)), generator(rc), dt=1e-3, t_end=1.0,
+                      sample_stride=50)
+        pops = traj.populations.T
+        sigma, phi, terms = _kernels.schnakenberg(rc.values[:, None], pops)
+        n = pops.shape[1]
+        assert sigma.shape == phi.shape == (n,) and terms.shape == (6, n)
+        for i in range(n):
+            s, p, t = _kernels.schnakenberg(rc.values, pops[:, i])
+            np.testing.assert_allclose(sigma[i], s, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(phi[i], p, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(terms[:, i], t, rtol=1e-14, atol=0)
+
 
 class TestTransientBalance:
     def test_stationary_trajectory(self):
@@ -226,3 +243,19 @@ class TestTransientBalance:
         shannon = -np.sum(pops * np.log(pops), axis=1)
         expected = (shannon[2:] - shannon[:-2]) / (traj.times[2:] - traj.times[:-2])
         assert np.allclose(bal.ds_dt, expected, atol=0, rtol=0)
+
+    def test_matches_per_sample_oracle(self):
+        # the vectorized balance against the per-sample construction: one
+        # network-form call at each interior sample
+        rng = np.random.default_rng(183)
+        sys = random_system(rng)
+        rc = rate_constants(sys, random_baths(rng))
+        traj = evolve(np.full(4, 0.25), generator(rc), dt=1e-3, t_end=2.0,
+                      sample_stride=20)
+        bal = entropy_balance_transient(traj, rc)
+        reports = [entropy_production_micro(rc, rho) for rho in traj.populations[1:-1]]
+        np.testing.assert_allclose(bal.sigma_dot, [r.sigma_dot for r in reports],
+                                   rtol=1e-14, atol=0)
+        np.testing.assert_allclose(bal.phi_dot, [r.phi_dot for r in reports],
+                                   rtol=1e-14, atol=0)
+        assert np.array_equal(bal.times, traj.times[1:-1])
