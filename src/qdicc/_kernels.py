@@ -3,9 +3,16 @@
 Array kernels are channel-major: rate constants are (12, ...) in the
 channel order below and populations (4, ...) in state order, so one
 function serves a single point (rates of shape (12,)) and a batch (rates
-of shape (12, N)).  Rates (:func:`rate_vector`), channel fluxes
-(:func:`channel_fluxes`) and the network-form entropy
-(:func:`schnakenberg`) each have exactly one implementation, here.
+of shape (12, N)).
+
+Live kernels, each the one implementation of its quantity: rates
+(:func:`rate_vector`), the generator (:func:`generator_matrix`), channel
+fluxes (:func:`channel_fluxes`), the network-form entropy
+(:func:`schnakenberg`) and the RK4 transient (:func:`rk4_evolve`), plus
+the scalar occupation :func:`fermi_occ` behind ``model.fermi_plus``,
+``model.fermi_minus`` and the closed-form cycle flux.  The tables
+``_EXCITE``/``_RELAX``/``_LOWER``/``_UPPER`` are the one place in this
+module that says which channel joins which states.
 
 ``solve4``, ``steady_rho``, ``cycle_legs`` and ``currents_vector`` are no
 longer called by the package: the spanning-tree steady state of
@@ -24,6 +31,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import IntegrationError
+
 L_AB, L_BA, L_CD, L_DC = 0, 1, 2, 3
 R_AB, R_BA, R_CD, R_DC = 4, 5, 6, 7
 U_AC, U_CA, U_BD, U_DB = 8, 9, 10, 11
@@ -36,10 +45,12 @@ _RELAX = np.array((L_BA, R_BA, L_DC, R_DC, U_CA, U_DB))
 _LOWER = np.array((0, 0, 2, 2, 0, 1))
 _UPPER = np.array((1, 1, 3, 3, 2, 3))
 
-# rk4 failure codes
-EVOLVE_OK = 0
-EVOLVE_DRIFT = 1
-EVOLVE_NEGATIVE = 2
+# rk4_evolve's simplex policing: normalization drift above RENORM_TOL is
+# repaired, drift above DRIFT_TOL or a population below -NEGATIVE_TOL aborts;
+# its two error messages quote the last two values
+RENORM_TOL = 1e-12
+DRIFT_TOL = 1e-9
+NEGATIVE_TOL = 1e-9
 
 
 def fermi_occ(beta, mu, omega):
@@ -82,24 +93,15 @@ def rate_vector(eps_b, eps_u, kappa, beta, mu, gamma):
 def generator_matrix(k):
     """4x4 Markov generator W with W[j, i] = total rate i -> j.
 
-    Forbidden channels (B<->C, A<->D) stay exactly zero; each diagonal entry
-    is minus its column sum so columns sum to zero identically.
+    Each (lead, pair) channel of the tables above adds its excitation rate to
+    W[upper, lower] and its relaxation rate to W[lower, upper]; forbidden
+    channels (B<->C, A<->D) stay exactly zero; each diagonal entry is minus
+    its column sum so columns sum to zero identically.
     """
     w = np.zeros((4, 4))
-    w[1, 0] = k[L_AB] + k[R_AB]
-    w[0, 1] = k[L_BA] + k[R_BA]
-    w[3, 2] = k[L_CD] + k[R_CD]
-    w[2, 3] = k[L_DC] + k[R_DC]
-    w[2, 0] = k[U_AC]
-    w[0, 2] = k[U_CA]
-    w[3, 1] = k[U_BD]
-    w[1, 3] = k[U_DB]
-    for i in range(4):
-        s = 0.0
-        for j in range(4):
-            if j != i:
-                s += w[j, i]
-        w[i, i] = -s
+    np.add.at(w, (_UPPER, _LOWER), k[_EXCITE])
+    np.add.at(w, (_LOWER, _UPPER), k[_RELAX])
+    np.fill_diagonal(w, -w.sum(axis=0))
     return w
 
 
@@ -226,75 +228,41 @@ def schnakenberg(k, rho):
     return terms.sum(axis=0), phi, terms
 
 
-def rk4_evolve(w, rho0, dt, n_steps, sample_stride,
-               renorm_tol, drift_tol, negative_tol):
+def rk4_evolve(w, rho0, dt, n_steps, sample_stride):
     """Fixed-step classic 4th-order integration of d(rho)/dt = W rho.
 
     Samples are recorded at step 0, every ``sample_stride`` steps and at the
-    final step.  Per step the simplex is policed: drift beyond ``drift_tol``
-    or a population below ``-negative_tol`` aborts (fail codes 1 / 2);
-    drift above ``renorm_tol`` is repaired by renormalization.
+    final step.  Per step the simplex is policed: normalization drift beyond
+    ``DRIFT_TOL`` or a population below ``-NEGATIVE_TOL`` raises
+    :class:`IntegrationError`; drift above ``RENORM_TOL`` is repaired by
+    renormalization.
 
-    Returns (times, samples, n_samples, fail_code, fail_step).
+    Returns (times, samples) of shapes (n,) and (n, 4).
     """
-    n_rec = n_steps // sample_stride + 2
-    times = np.empty(n_rec)
-    samples = np.empty((n_rec, 4))
-    rho = rho0.copy()
-    times[0] = 0.0
-    samples[0, :] = rho
-    n_out = 1
-    k1 = np.empty(4)
-    k2 = np.empty(4)
-    k3 = np.empty(4)
-    k4 = np.empty(4)
-    tmp = np.empty(4)
+    half, sixth = 0.5 * dt, dt / 6.0
+    rho = np.array(rho0, dtype=float)
+    times = [0.0]
+    samples = [rho]
     for step in range(1, n_steps + 1):
-        for i in range(4):
-            s = 0.0
-            for j in range(4):
-                s += w[i, j] * rho[j]
-            k1[i] = s
-        for i in range(4):
-            tmp[i] = rho[i] + 0.5 * dt * k1[i]
-        for i in range(4):
-            s = 0.0
-            for j in range(4):
-                s += w[i, j] * tmp[j]
-            k2[i] = s
-        for i in range(4):
-            tmp[i] = rho[i] + 0.5 * dt * k2[i]
-        for i in range(4):
-            s = 0.0
-            for j in range(4):
-                s += w[i, j] * tmp[j]
-            k3[i] = s
-        for i in range(4):
-            tmp[i] = rho[i] + dt * k3[i]
-        for i in range(4):
-            s = 0.0
-            for j in range(4):
-                s += w[i, j] * tmp[j]
-            k4[i] = s
-        for i in range(4):
-            rho[i] += dt / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i])
+        k1 = w @ rho
+        k2 = w @ (rho + half * k1)
+        k3 = w @ (rho + half * k2)
+        k4 = w @ (rho + dt * k3)
+        rho = rho + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-        total = rho[0] + rho[1] + rho[2] + rho[3]
+        total = rho.sum()
         drift = abs(total - 1.0)
-        if drift > drift_tol:
-            return times, samples, n_out, EVOLVE_DRIFT, step
-        low = rho[0]
-        for i in range(1, 4):
-            if rho[i] < low:
-                low = rho[i]
-        if low < -negative_tol:
-            return times, samples, n_out, EVOLVE_NEGATIVE, step
-        if drift > renorm_tol:
-            inv = 1.0 / total
-            for i in range(4):
-                rho[i] *= inv
+        if drift > DRIFT_TOL:
+            raise IntegrationError(
+                f"normalization drift exceeded 1e-9 at step {step} (t={step * dt:g}); "
+                "use a smaller dt")
+        if rho.min() < -NEGATIVE_TOL:
+            raise IntegrationError(
+                f"population below -1e-9 at step {step} (t={step * dt:g}); "
+                "use a smaller dt")
+        if drift > RENORM_TOL:
+            rho = rho * (1.0 / total)
         if step % sample_stride == 0 or step == n_steps:
-            times[n_out] = step * dt
-            samples[n_out, :] = rho
-            n_out += 1
-    return times, samples, n_out, EVOLVE_OK, n_steps
+            times.append(step * dt)
+            samples.append(rho)
+    return np.array(times), np.array(samples)

@@ -166,26 +166,22 @@ def _cmd_sweep(args) -> int:
 def _cmd_classify_map(args) -> int:
     cfg = load_config(args.config)
     spec = build_sweep_spec(cfg)
+    records = _iter_sweep_rows(cfg, args.tol_sign, args.threads)
     legend = " ".join(
         f"{code}={name or 'error'}" for name, code in REGIME_CODES.items()
     )
-    lines = [
+    header = [
         "# regime map, one code per grid cell",
         f"# rows: F_E from {spec.f_e_min:g} to {spec.f_e_max:g} in {spec.f_e_steps} steps",
         f"# columns: F_N from {spec.f_n_min:g} to {spec.f_n_max:g} in {spec.f_n_steps} steps",
         f"# legend: {legend}",
     ]
-    row_chars: list[str] = []
-    count = 0
-    for record in _iter_sweep_rows(cfg, args.tol_sign, args.threads):
-        regime = record[COLUMNS.index("regime")]
-        status = record[-1]
-        row_chars.append(REGIME_CODES[regime] if status == "ok" else "!")
-        count += 1
-        if count % spec.f_n_steps == 0:
-            lines.append("".join(row_chars))
-            row_chars = []
-    _write_lines(args.out, lines)
+    regime_col = COLUMNS.index("regime")
+    codes = (REGIME_CODES[record[regime_col]] if record[-1] == "ok" else "!"
+             for record in records)
+    # one map row per f_n_steps codes, taken from the one shared iterator
+    map_rows = map("".join, zip(*[codes] * spec.f_n_steps))
+    _write_lines(args.out, chain(header, map_rows))
     return 0
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import ForbiddenTransitionError, IntegrationError
+from .errors import ForbiddenTransitionError
 from .model import BathConfig, Lead, StateIndex, SystemParams
 
 # (lead, from-state, to-state) -> flat channel index, matching _kernels layout
@@ -67,55 +67,6 @@ class RateConstants:
                 f"{Lead(lead).value}"
             ) from None
         return float(self.values[idx])
-
-    # short accessors used heavily by the entropy/force formulas
-    @property
-    def k_ab_l(self):
-        return float(self.values[_kernels.L_AB])
-
-    @property
-    def k_ba_l(self):
-        return float(self.values[_kernels.L_BA])
-
-    @property
-    def k_cd_l(self):
-        return float(self.values[_kernels.L_CD])
-
-    @property
-    def k_dc_l(self):
-        return float(self.values[_kernels.L_DC])
-
-    @property
-    def k_ab_r(self):
-        return float(self.values[_kernels.R_AB])
-
-    @property
-    def k_ba_r(self):
-        return float(self.values[_kernels.R_BA])
-
-    @property
-    def k_cd_r(self):
-        return float(self.values[_kernels.R_CD])
-
-    @property
-    def k_dc_r(self):
-        return float(self.values[_kernels.R_DC])
-
-    @property
-    def k_ac_u(self):
-        return float(self.values[_kernels.U_AC])
-
-    @property
-    def k_ca_u(self):
-        return float(self.values[_kernels.U_CA])
-
-    @property
-    def k_bd_u(self):
-        return float(self.values[_kernels.U_BD])
-
-    @property
-    def k_db_u(self):
-        return float(self.values[_kernels.U_DB])
 
 
 @dataclass(frozen=True)
@@ -214,13 +165,15 @@ def evolve(rho0, w, dt: float, t_end: float, sample_stride: int = 1) -> Trajecto
     """Integrate the rate equations with a fixed-step classic RK4 scheme.
 
     ``dt`` should satisfy dt <= 0.1 / max|W_ii| for comfortable accuracy;
-    the integrator does not adapt.  Normalization drift above 1e-12 is
-    repaired by renormalizing, but drift beyond 1e-9 or a population below
-    -1e-9 aborts with :class:`IntegrationError` (shrink dt).  Samples are
-    recorded every ``sample_stride`` steps plus the initial and final states.
+    the integrator does not adapt.  The kernel polices every step:
+    normalization drift above 1e-12 is repaired by renormalizing, while
+    drift beyond 1e-9 or a population below -1e-9 makes the kernel itself
+    raise :class:`IntegrationError` (shrink dt), which reaches the caller
+    unchanged.  Samples are recorded every ``sample_stride`` steps plus the
+    initial and final states.
     ``rho0`` is four populations (a :class:`PopulationVector` or any
-    sequence); ``dt``, ``t_end`` and every entry of ``rho0`` and ``w`` must
-    be finite.
+    sequence) and ``w`` a 4x4 matrix (a :class:`Generator` or any array);
+    ``dt``, ``t_end`` and every entry of ``rho0`` and ``w`` must be finite.
     """
     if not (np.isfinite(dt) and np.isfinite(t_end)):
         raise ValueError(f"dt and t_end must be finite, got dt={dt}, t_end={t_end}")
@@ -234,21 +187,11 @@ def evolve(rho0, w, dt: float, t_end: float, sample_stride: int = 1) -> Trajecto
     w_arr = w.matrix if isinstance(w, Generator) else np.asarray(w, float)
     if rho_arr.shape != (4,):
         raise ValueError(f"rho0 must hold 4 populations, got shape {rho_arr.shape}")
+    if w_arr.shape != (4, 4):
+        raise ValueError(f"w must be a 4x4 generator, got shape {w_arr.shape}")
     if not (np.isfinite(rho_arr).all() and np.isfinite(w_arr).all()):
         raise ValueError("rho0 and w must be finite")
     n_steps = int(round(t_end / dt))
-    times, samples, n_out, code, step = _kernels.rk4_evolve(
-        w_arr, rho_arr.astype(float), float(dt), n_steps, int(sample_stride),
-        1e-12, 1e-9, 1e-9,
-    )
-    if code == _kernels.EVOLVE_DRIFT:
-        raise IntegrationError(
-            f"normalization drift exceeded 1e-9 at step {step} (t={step * dt:g}); "
-            "use a smaller dt"
-        )
-    if code == _kernels.EVOLVE_NEGATIVE:
-        raise IntegrationError(
-            f"population below -1e-9 at step {step} (t={step * dt:g}); "
-            "use a smaller dt"
-        )
-    return Trajectory(times=times[:n_out].copy(), populations=samples[:n_out].copy())
+    times, samples = _kernels.rk4_evolve(
+        w_arr, rho_arr, float(dt), n_steps, int(sample_stride))
+    return Trajectory(times=times, populations=samples)

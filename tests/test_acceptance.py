@@ -75,7 +75,8 @@ def draw_config(rng):
 
 @pytest.fixture(scope="module", autouse=True)
 def jit_warmup():
-    # compile the kernels before any timed section
+    # run each code path once so that first-call costs (imports, numpy
+    # dispatch set-up) stay out of the timed sections below
     sys = SystemParams(eps_b=1.0, eps_u=2.5, kappa=-1.5)
     baths = icc_reduction(1.2, 1.0, 0.3, 1.0, 3.0)
     analyze_point(sys, baths)

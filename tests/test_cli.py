@@ -253,8 +253,9 @@ class TestSweep:
         bad = SWEEP_CONFIG.replace("F_E_min = 0.1", "F_E_min = -2.0")
         cfg = write(tmp_path, "bad.cfg", bad)
         out = tmp_path / "never.csv"
-        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
-        assert not out.exists()
+        for command in ("sweep", "classify-map"):
+            assert main([command, "--config", cfg, "--out", str(out)]) == 2
+            assert not out.exists()
 
 
 class TestClassifyMap:
@@ -321,15 +322,22 @@ class TestExitCodes:
         assert main(["sweep", "--config", cfg]) == 2
 
     @pytest.mark.parametrize("command, text", [("sweep", SWEEP_CONFIG),
-                                               ("solve", POINT_CONFIG)],
-                             ids=["sweep", "solve"])
-    def test_unwritable_output(self, tmp_path, capsys, command, text):
+                                               ("solve", POINT_CONFIG),
+                                               ("classify-map", SWEEP_CONFIG)],
+                             ids=["sweep", "solve", "classify-map"])
+    def test_unwritable_output(self, tmp_path, capsys, monkeypatch, command, text):
+        calls = []
+        if command != "solve":
+            # a grid command opens its output before it evaluates any cell
+            monkeypatch.setattr("qdicc.engine.evaluate",
+                                lambda *args, **kwargs: calls.append(args))
         cfg = write(tmp_path, "run.cfg", text)
         out = tmp_path / "no" / "such" / "dir" / "x.csv"
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("output error:") and err.count("\n") == 1
         assert not out.parent.exists()
+        assert calls == []
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_rejected(self, tmp_path, capsys, threads):

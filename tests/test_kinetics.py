@@ -29,15 +29,16 @@ class TestRateConstants:
         sys = SystemParams(eps_b=1.0, eps_u=2.5, kappa=0.5)
         baths = equal_baths(beta=2.0, mu=1.0, gamma=0.8)
         rc = rate_constants(sys, baths)
-        assert rc.k_ab_l == pytest.approx(0.4, abs=1e-15)
-        assert rc.k_ba_l == pytest.approx(0.4, abs=1e-15)
+        assert rc.rate(Lead.L, StateIndex.A, StateIndex.B) == pytest.approx(0.4, abs=1e-15)
+        assert rc.rate(Lead.L, StateIndex.B, StateIndex.A) == pytest.approx(0.4, abs=1e-15)
 
     def test_frozen_channel_value(self):
         # attractive coupling puts the C->D channel at omega = -0.5
         sys = SystemParams(eps_b=1.0, eps_u=2.5, kappa=-1.5)
         baths = make_baths(1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
         rc = rate_constants(sys, baths)
-        assert rc.k_cd_r == pytest.approx(FERMI_AT_MINUS_HALF, abs=1e-15)
+        assert rc.rate(Lead.R, StateIndex.C, StateIndex.D) == pytest.approx(
+            FERMI_AT_MINUS_HALF, abs=1e-15)
 
     def test_forbidden_channel_lookup(self):
         rng = np.random.default_rng(5)
@@ -59,6 +60,25 @@ class TestGenerator:
             assert (off >= 0).all()
             for i, j in ((1, 2), (2, 1), (0, 3), (3, 0)):
                 assert w[i, j] == 0.0
+
+    def test_off_diagonal_entries_are_lead_sums(self):
+        # W[j, i] is the total rate i -> j: the sum over leads of rc.rate,
+        # added in lead order l, r, u, and exactly zero for a blocked pair
+        rng = np.random.default_rng(33)
+        for _ in range(50):
+            rc = rate_constants(random_system(rng), random_baths(rng, equal_gamma=False))
+            w = generator(rc).matrix
+            for i in StateIndex:
+                for j in StateIndex:
+                    if i == j:
+                        continue
+                    total = 0.0
+                    for lead in Lead:
+                        try:
+                            total += rc.rate(lead, i, j)
+                        except ForbiddenTransitionError:
+                            pass
+                    assert w[j, i] == total
 
     def test_gibbs_state_in_kernel_at_equilibrium(self):
         rng = np.random.default_rng(41)
@@ -146,11 +166,30 @@ class TestEvolve:
         traj = evolve(np.full(4, 0.25), w, dt=1e-3, t_end=100.0, sample_stride=1000)
         assert np.abs(traj.populations[-1] - target).max() < 1e-8
 
+    def test_matches_one_step_polynomial_powers(self):
+        # classic RK4 on a linear system is rho <- R rho with the one-step
+        # matrix R = sum_{k<=4} (dt W)^k / k!, built here in Horner form
+        dt, n_steps, stride = 1e-3, 5000, 50
+        rng = np.random.default_rng(121)
+        for equal_gamma in (True, False, True, False):
+            w = generator(rate_constants(random_system(rng),
+                                         random_baths(rng, equal_gamma=equal_gamma))).matrix
+            rho0 = rng.dirichlet(np.ones(4))
+            a, one = dt * w, np.eye(4)
+            r = one + a @ (one + a @ (one + a @ (one + a / 4) / 3) / 2)
+            r_stride = np.linalg.matrix_power(r, stride)
+            expected = [rho0]
+            for _ in range(n_steps // stride):
+                expected.append(r_stride @ expected[-1])
+            traj = evolve(rho0, w, dt=dt, t_end=n_steps * dt, sample_stride=stride)
+            assert np.array_equal(traj.times, np.arange(0, n_steps + 1, stride) * dt)
+            assert np.abs(traj.populations - np.array(expected)).max() < 1e-11
+
     def test_oversized_step_raises(self):
         rng = np.random.default_rng(111)
         rc = rate_constants(random_system(rng), random_baths(rng, equal_gamma=False))
         w = generator(rc)
-        with pytest.raises(IntegrationError):
+        with pytest.raises(IntegrationError, match="smaller dt"):
             evolve(np.array([1.0, 0.0, 0.0, 0.0]), w, dt=3.0, t_end=3000.0)
 
     def test_bad_arguments(self):
@@ -159,6 +198,9 @@ class TestEvolve:
             evolve(np.full(4, 0.25), w, dt=0.0, t_end=1.0)
         with pytest.raises(ValueError):
             evolve(np.full(4, 0.25), w, dt=0.5, t_end=0.1)
+        for shape in ((3, 3), (5, 5), (4, 5)):
+            with pytest.raises(ValueError, match="4x4"):
+                evolve(np.full(4, 0.25), np.zeros(shape), dt=0.1, t_end=1.0)
 
     @pytest.mark.parametrize("dt, t_end", [(1e-3, np.inf), (np.nan, 1.0),
                                            (1e-3, np.nan), (np.inf, 1.0)])
