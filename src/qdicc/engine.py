@@ -139,14 +139,14 @@ def stationary(fwd, bwd):
     not finite, RESIDUAL where |W rho| exceeds 1e-12 times the largest
     rate, and LEGS where a leg differs from the cycle flux by more than that.
     """
-    f1 = fwd[_PREV1]
-    f12 = f1 * fwd[_PREV2]
-    bb = bwd * bwd[_NEXT1]
-    # the spanning trees rooted at ring state j collect t forward edges from
-    # behind j and 3 - t backward edges from ahead of it, t = 0..3
-    weights = bb * bwd[_PREV2] + f1 * bb + f12 * bwd + f12 * fwd[_NEXT1]
-    z = weights.sum(axis=0)
     with np.errstate(all="ignore"):
+        f1 = fwd[_PREV1]
+        f12 = f1 * fwd[_PREV2]
+        bb = bwd * bwd[_NEXT1]
+        # the spanning trees rooted at ring state j collect t forward edges
+        # from behind j and 3 - t backward edges from ahead of it, t = 0..3
+        weights = bb * bwd[_PREV2] + f1 * bb + f12 * bwd + f12 * fwd[_NEXT1]
+        z = weights.sum(axis=0)
         p = weights / z
         gamma_cw = (fwd.prod(axis=0) - bwd.prod(axis=0)) / z
         fp, bp = fwd * p, bwd * p[_NEXT1]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, engine
 from .errors import ForbiddenTransitionError
 from .model import BathConfig, Lead, StateIndex, SystemParams
 
@@ -165,15 +165,19 @@ def evolve(rho0, w, dt: float, t_end: float, sample_stride: int = 1) -> Trajecto
     """Integrate the rate equations with a fixed-step classic RK4 scheme.
 
     ``dt`` should satisfy dt <= 0.1 / max|W_ii| for comfortable accuracy;
-    the integrator does not adapt.  The kernel polices every step:
-    normalization drift above 1e-12 is repaired by renormalizing, while
-    drift beyond 1e-9 or a population below -1e-9 makes the kernel itself
-    raise :class:`IntegrationError` (shrink dt), which reaches the caller
-    unchanged.  Samples are recorded every ``sample_stride`` steps plus the
-    initial and final states.
-    ``rho0`` is four populations (a :class:`PopulationVector` or any
-    sequence) and ``w`` a 4x4 matrix (a :class:`Generator` or any array);
-    ``dt``, ``t_end`` and every entry of ``rho0`` and ``w`` must be finite.
+    the integrator does not adapt.  The kernel applies RK4's one-step
+    matrix to the deviation from the spanning-tree steady state of W (from
+    zero where that steady state is degenerate, e.g. W = 0) and polices
+    every step: normalization drift above 1e-12 is repaired by
+    renormalizing, while drift beyond 1e-9 or a population below -1e-9
+    makes the kernel itself raise :class:`IntegrationError` (shrink dt),
+    which reaches the caller unchanged.  Samples are recorded every
+    ``sample_stride`` steps plus the initial and final states.
+    ``rho0`` is four finite populations (a :class:`PopulationVector` or any
+    sequence).  ``w`` is a :class:`Generator`; any other array is validated
+    as one (4x4, finite, non-negative off the diagonal, zero column sums,
+    zero blocked entries) and a ``ValueError`` names the first failure.
+    ``dt`` and ``t_end`` must be finite.
     """
     if not (np.isfinite(dt) and np.isfinite(t_end)):
         raise ValueError(f"dt and t_end must be finite, got dt={dt}, t_end={t_end}")
@@ -184,14 +188,14 @@ def evolve(rho0, w, dt: float, t_end: float, sample_stride: int = 1) -> Trajecto
     if sample_stride < 1:
         raise ValueError("sample_stride must be >= 1")
     rho_arr = rho0.values if isinstance(rho0, PopulationVector) else np.asarray(rho0, float)
-    w_arr = w.matrix if isinstance(w, Generator) else np.asarray(w, float)
     if rho_arr.shape != (4,):
         raise ValueError(f"rho0 must hold 4 populations, got shape {rho_arr.shape}")
-    if w_arr.shape != (4, 4):
-        raise ValueError(f"w must be a 4x4 generator, got shape {w_arr.shape}")
-    if not (np.isfinite(rho_arr).all() and np.isfinite(w_arr).all()):
-        raise ValueError("rho0 and w must be finite")
+    if not np.isfinite(rho_arr).all():
+        raise ValueError("rho0 must be finite")
+    w_arr = (w if isinstance(w, Generator) else Generator(w)).matrix
+    rho_ss, _, _, status = engine.stationary(*engine.ring_from_generator(w_arr))
+    anchor = rho_ss if status == engine.OK else np.zeros(4)
     n_steps = int(round(t_end / dt))
     times, samples = _kernels.rk4_evolve(
-        w_arr, rho_arr, float(dt), n_steps, int(sample_stride))
+        w_arr, rho_arr, float(dt), n_steps, int(sample_stride), anchor)
     return Trajectory(times=times, populations=samples)

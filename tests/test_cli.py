@@ -257,6 +257,20 @@ class TestSweep:
             assert main([command, "--config", cfg, "--out", str(out)]) == 2
             assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["sweep", "classify-map"])
+    @pytest.mark.parametrize("key, value", [("F_E_min", "nan"), ("F_E_max", "inf"),
+                                            ("F_N_min", "-inf"), ("F_N_max", "nan")])
+    def test_non_finite_axis_bound_rejected(self, tmp_path, capsys, command, key, value):
+        # a NaN bound slips past every comparison and used to fill the F_E or
+        # F_N column with nan, or the map with '!', under exit code 0
+        line = next(ln for ln in SWEEP_CONFIG.splitlines() if ln.startswith(key))
+        cfg = write(tmp_path, "bad.cfg", SWEEP_CONFIG.replace(line, f"{key} = {value}"))
+        out = tmp_path / "never.csv"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {key} must be finite, got {float(value)!r}\n"
+        assert not out.exists()
+
 
 class TestClassifyMap:
     def test_inverse_plane_map_is_frozen(self, tmp_path):

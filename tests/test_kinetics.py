@@ -1,4 +1,6 @@
 """Rate constants, generator structure, net rates and time evolution."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,32 @@ class TestPopulationVector:
             PopulationVector(np.array([0.5, 0.5, 0.5, 0.5]))
 
 
+def stage_rk4(w, rho0, dt, n_steps, stride):
+    """Classic RK4 in stage form with evolve's per-step policing.
+
+    Returns (samples, None), or (None, message) at the first failing step.
+    """
+    rho = np.array(rho0, dtype=float)
+    samples = [rho]
+    for step in range(1, n_steps + 1):
+        k1 = w @ rho
+        k2 = w @ (rho + dt / 2 * k1)
+        k3 = w @ (rho + dt / 2 * k2)
+        k4 = w @ (rho + dt * k3)
+        rho = rho + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        drift = abs(rho.sum() - 1.0)
+        where = f"at step {step} (t={step * dt:g}); use a smaller dt"
+        if drift > 1e-9:
+            return None, "normalization drift exceeded 1e-9 " + where
+        if rho.min() < -1e-9:
+            return None, "population below -1e-9 " + where
+        if drift > 1e-12:
+            rho = rho / rho.sum()
+        if step % stride == 0 or step == n_steps:
+            samples.append(rho)
+    return np.array(samples), None
+
+
 class TestEvolve:
     def test_zero_generator_is_constant(self):
         rho0 = np.array([0.1, 0.2, 0.3, 0.4])
@@ -185,6 +213,45 @@ class TestEvolve:
             assert np.array_equal(traj.times, np.arange(0, n_steps + 1, stride) * dt)
             assert np.abs(traj.populations - np.array(expected)).max() < 1e-11
 
+    def test_normalization_holds_without_renormalizing(self):
+        # the one-step matrix acts on the deviation from the steady state, so
+        # its rounding shrinks with the deviation (worst seen 2.2e-14); applied
+        # to rho itself, its column sums (1 up to rounding) drift to the 1e-12
+        # renormalization threshold within these 50 chained calls
+        rng = np.random.default_rng(131)
+        worst = 0.0
+        for equal_gamma in (True, False, True, False, True):
+            w = generator(rate_constants(random_system(rng),
+                                         random_baths(rng, equal_gamma=equal_gamma)))
+            rho = rng.dirichlet(np.ones(4))
+            for _ in range(50):
+                traj = evolve(rho, w, dt=1e-3, t_end=1.0, sample_stride=10)
+                worst = max(worst, np.abs(traj.populations.sum(axis=1) - 1.0).max())
+                rho = traj.populations[-1]
+        assert worst < 2e-13
+
+    def test_oversized_step_matches_stage_form(self):
+        # dt from 0.5 to 4 over max|W_ii|, across RK4's stability limit: each
+        # case fails where the stage-form loop fails, with its message, or
+        # finishes on the stage-form samples
+        rng = np.random.default_rng(141)
+        finished = []
+        for case in range(20):
+            w = generator(rate_constants(random_system(rng),
+                                         random_baths(rng, equal_gamma=case % 2 == 0))).matrix
+            dt = rng.uniform(0.5, 4.0) / np.abs(np.diag(w)).max()
+            rho0 = rng.dirichlet(np.ones(4))
+            expected, message = stage_rk4(w, rho0, dt, 200, 10)
+            if message is None:
+                traj = evolve(rho0, w, dt=dt, t_end=200 * dt, sample_stride=10)
+                assert np.abs(traj.populations - expected).max() < 1e-11
+            else:
+                with pytest.raises(IntegrationError) as exc:
+                    evolve(rho0, w, dt=dt, t_end=200 * dt, sample_stride=10)
+                assert str(exc.value) == message
+            finished.append(message is None)
+        assert any(finished) and not all(finished)
+
     def test_oversized_step_raises(self):
         rng = np.random.default_rng(111)
         rc = rate_constants(random_system(rng), random_baths(rng, equal_gamma=False))
@@ -201,6 +268,34 @@ class TestEvolve:
         for shape in ((3, 3), (5, 5), (4, 5)):
             with pytest.raises(ValueError, match="4x4"):
                 evolve(np.full(4, 0.25), np.zeros(shape), dt=0.1, t_end=1.0)
+
+    def test_overflowing_tree_weights_fall_back_to_zero_anchor(self):
+        # ring rates of 1e120 overflow the spanning-tree weights (products of
+        # three rates); the steady state is degenerate and the kernel runs on
+        # rho itself, with no numpy warning on the way
+        w = np.zeros((4, 4))
+        w[[1, 0, 3, 1, 2, 3, 0, 2], [0, 1, 1, 3, 3, 2, 2, 0]] = 1e120
+        np.fill_diagonal(w, -w.sum(axis=0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = evolve(np.full(4, 0.25), w, dt=1e-122, t_end=1e-120)
+        assert np.abs(traj.populations - 0.25).max() < 1e-15
+
+    def test_raw_matrix_is_validated_as_generator(self):
+        # the steady-state anchor reads only the ring entries of W, so a raw
+        # array that is not a generator must be refused, not integrated
+        w = generator(rate_constants(SystemParams(eps_b=1.0, eps_u=2.5, kappa=-1.5),
+                                     equal_baths(beta=1.0, mu=1.0))).matrix
+        blocked, leaky, negative = w.copy(), w.copy(), w.copy()
+        blocked[1, 2] += 0.1
+        blocked[2, 2] -= 0.1
+        leaky[0, 1] += 0.1
+        negative[3, 1] = -0.1
+        negative[1, 1] = -negative[[0, 2, 3], 1].sum()
+        for bad, match in ((blocked, "blocked"), (leaky, "sum to zero"),
+                           (negative, "non-negative")):
+            with pytest.raises(ValueError, match=match):
+                evolve(np.full(4, 0.25), bad, dt=1e-3, t_end=0.01)
 
     @pytest.mark.parametrize("dt, t_end", [(1e-3, np.inf), (np.nan, 1.0),
                                            (1e-3, np.nan), (np.inf, 1.0)])
