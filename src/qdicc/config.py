@@ -31,8 +31,8 @@ import numpy as np
 
 from .engine import REGIMES, Batch
 from .errors import ConfigError, PreconditionError
-from .icc import IccPoint, Regime, icc_reduction, invert_forces, thermoelectric_reduction
-from .model import BathConfig, Lead, Reservoir, SystemParams
+from .icc import invert_forces
+from .model import SystemParams
 
 COLUMNS: tuple[str, ...] = (
     "F_E", "F_N", "beta", "mu_l",
@@ -126,51 +126,43 @@ def _leads(cfg: dict) -> tuple[float, float, float, float]:
     return cfg["beta_r"], cfg["mu_r"], cfg.get("mu_u", cfg["mu_r"]), cfg.get("gamma", 1.0)
 
 
-def point_baths(cfg: dict, f_e: float, f_n: float) -> tuple[BathConfig, float, float]:
+def point_baths(cfg: dict, f_e: float, f_n):
     """Baths realizing forces (f_e, f_n) in the configured setup.
 
-    Returns (baths, derived beta, mu_l); the derived beta is beta_l = beta_u
-    for the two-force setup and beta_u for the thermoelectric one.
+    Returns the (l, r, u) triples of beta, mu and gamma that
+    :func:`qdicc.engine.evaluate` takes, the derived beta and mu_l; ``f_n``
+    is a scalar or an array over one F_E line, and mu_l follows its shape.
+    The derived beta is beta_l = beta_u for the two-force setup and beta_u
+    for the thermoelectric one; a derived beta that is not positive raises
+    ValueError.  The engine's BAD_BATHS gate checks everything else.
     """
     beta_r, mu_r, mu_u, gamma = _leads(cfg)
     setup = cfg["setup"]
     if setup == "icc":
         beta, mu_l = invert_forces(f_e, f_n, beta_r, mu_r)
-        return icc_reduction(beta, beta_r, mu_l, mu_r, mu_u, gamma), beta, mu_l
-    if setup == "thermoelectric":
-        beta_u = beta_r - f_e
-        if beta_u <= 0:
+        betas = (beta, beta_r, beta)
+    elif setup == "thermoelectric":
+        beta = beta_r - f_e
+        if beta <= 0:
             raise ValueError(
                 f"force F_E={f_e} needs beta_r > {f_e} to keep beta_u positive"
             )
         mu_l = mu_r - f_n / beta_r
-        return (thermoelectric_reduction(beta_r, beta_u, mu_l, mu_r, mu_u, gamma),
-                beta_u, mu_l)
-    raise PreconditionError("raw setup does not support force coordinates")
+        betas = (beta_r, beta_r, beta)
+    else:
+        raise PreconditionError("raw setup does not support force coordinates")
+    return (betas, (mu_l, mu_r, mu_u), (gamma, gamma, gamma)), beta, mu_l
 
 
-def line_baths(cfg: dict, f_e: float, f_n: np.ndarray):
-    """Baths of one F_E line of a two-force sweep, as the (l, r, u) triples
-    of beta, mu and gamma that :func:`qdicc.engine.evaluate` takes; beta_l =
-    beta_u is the derived beta and mu_l an array over ``f_n``.  Raises
-    ValueError, as :func:`point_baths` does, when beta is not positive.
-    """
-    beta_r, mu_r, mu_u, gamma = _leads(cfg)
-    beta, mu_l = invert_forces(f_e, f_n, beta_r, mu_r)
-    return (beta, beta_r, beta), (mu_l, mu_r, mu_u), (gamma, gamma, gamma)
-
-
-def raw_baths(cfg: dict) -> BathConfig:
+def raw_baths(cfg: dict):
+    """The (l, r, u) triples of beta, mu and gamma of the raw setup."""
     _require(cfg, "beta_l", "beta_r", "beta_u", "mu_l", "mu_r", "mu_u")
     for key in ("F_E", "F_N"):
         if key in cfg:
             raise ConfigError(f"{key} is not accepted in the raw setup")
     gamma = cfg.get("gamma", 1.0)
-    return BathConfig(
-        l=Reservoir(Lead.L, beta=cfg["beta_l"], mu=cfg["mu_l"], gamma=gamma),
-        r=Reservoir(Lead.R, beta=cfg["beta_r"], mu=cfg["mu_r"], gamma=gamma),
-        u=Reservoir(Lead.U, beta=cfg["beta_u"], mu=cfg["mu_u"], gamma=gamma),
-    )
+    return ((cfg["beta_l"], cfg["beta_r"], cfg["beta_u"]),
+            (cfg["mu_l"], cfg["mu_r"], cfg["mu_u"]), (gamma, gamma, gamma))
 
 
 @dataclass(frozen=True)
@@ -217,63 +209,44 @@ def build_sweep_spec(cfg: dict) -> SweepSpec:
     return spec
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return f"{value:.16e}"
-
-
-def record_fields(f_e: float, f_n: float, beta: float, mu_l: float,
-                  point: IccPoint | None, status: str) -> tuple[str, ...]:
-    """One flat output row in COLUMNS order; unfilled cells stay empty."""
-    if point is None:
-        body = [""] * 17 + ["", "", ""]
-    else:
-        cs = point.currents
-        body = [
-            _fmt(cs.j_e_l), _fmt(cs.j_e_r), _fmt(cs.j_e_u),
-            _fmt(cs.j_n_l), _fmt(cs.j_n_r), _fmt(cs.j_n_u),
-            _fmt(cs.j_q_l), _fmt(cs.j_q_r), _fmt(cs.j_q_u),
-            _fmt(point.gamma_cw), _fmt(point.x), _fmt(point.y),
-            _fmt(point.m), _fmt(point.n), _fmt(point.pq),
-            _fmt(point.sigma_macro), _fmt(point.sigma_micro),
-            point.regime.value if isinstance(point.regime, Regime) else "",
-            _fmt(point.cop), _fmt(point.efficiency),
-        ]
-    diag = ["", ""] if point is None else [_fmt(point.res_j_e), _fmt(point.res_j_n)]
-    return (_fmt(f_e), _fmt(f_n), _fmt(beta), _fmt(mu_l), *body, *diag, status)
-
-
 # a failed row keeps its forces and status; every other cell stays empty
 _EMPTY = ("",) * (len(COLUMNS) - 3)
 
 
-def line_records(f_e: float, f_n: np.ndarray, beta: float, mu_l: np.ndarray,
-                 batch: Batch, status_words) -> list[tuple[str, ...]]:
-    """The rows of one sweep line in COLUMNS order, cell for cell as
-    :func:`record_fields` writes them; ``status_words`` names each status
-    code of the batch."""
+def record_fields(f_e: float, f_n, beta, mu_l, batch: Batch | None,
+                  status_words) -> list[tuple[str, ...]]:
+    """The rows of one F_E line in COLUMNS order, one per batch point.
+
+    ``f_n`` and the derived bath parameters ``beta`` and ``mu_l`` of
+    :func:`point_baths` broadcast to the batch, and ``status_words`` names
+    each status code of the batch.  Without a batch (the line's baths could
+    not be built) there is one row per entry of the array ``f_n``, each
+    keeping only its forces, and ``status_words`` is their one status word.
+    """
     fmt = "{:.16e}".format
+    f_e_cell = fmt(f_e)
+    if batch is None:
+        return [(f_e_cell, fmt(f), *_EMPTY, status_words) for f in f_n.tolist()]
 
     def optional(value):  # NaN marks a cell the batch leaves undefined
         return "" if value != value else fmt(value)
 
+    shape = batch.status.shape
     cells = np.vstack((
-        np.broadcast_to(beta, f_n.shape), mu_l, batch.currents, batch.gamma_cw,
-        batch.x, batch.y, batch.m, batch.n, batch.pq, batch.sigma_macro,
-        batch.sigma_micro, batch.cop, batch.eta, batch.res_j_e, batch.res_j_n,
+        np.broadcast_to(f_n, shape), np.broadcast_to(beta, shape),
+        np.broadcast_to(mu_l, shape), batch.currents, batch.gamma_cw, batch.x,
+        batch.y, batch.m, batch.n, batch.pq, batch.sigma_macro, batch.sigma_micro,
+        batch.cop, batch.eta, batch.res_j_e, batch.res_j_n,
     )).T.tolist()
-    f_e_cell = fmt(f_e)
     rows = []
-    for f, code, regime, v in zip(f_n.tolist(), batch.status.tolist(),
-                                  batch.regime.tolist(), cells):
+    for code, regime, v in zip(batch.status.tolist(), batch.regime.tolist(), cells):
         if code:
-            rows.append((f_e_cell, fmt(f), *_EMPTY, status_words[code]))
+            rows.append((f_e_cell, fmt(v[0]), *_EMPTY, status_words[code]))
             continue
         rows.append((
-            f_e_cell, fmt(f), *map(fmt, v[:16]), optional(v[16]), fmt(v[17]),
-            fmt(v[18]), REGIMES[regime].value if regime >= 0 else "",
-            optional(v[19]), optional(v[20]), fmt(v[21]), fmt(v[22]),
+            f_e_cell, *map(fmt, v[:17]), optional(v[17]), fmt(v[18]),
+            fmt(v[19]), REGIMES[regime].value if regime >= 0 else "",
+            optional(v[20]), optional(v[21]), fmt(v[22]), fmt(v[23]),
             status_words[code],
         ))
     return rows

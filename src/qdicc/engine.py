@@ -282,6 +282,22 @@ def classify(f_e, f_n, j_e, j_n, tol_sign, tol_force):
     return regime, status
 
 
+def merit(beta_l, beta_r, j_e_r, j_n_r, f_e_r, f_n_r):
+    """Refrigerator COP and engine efficiency of the two-force setup, NaN
+    where a figure is undefined.
+
+    Both need two positive forces.  The COP zeta = -J_E^r beta_r / (J_N^r
+    f_n_r) is defined where J_E^r < 0 runs against them, the efficiency
+    eta = -J_N^r f_n_r / (beta_l J_E^r) where J_N^r < 0 does while J_E^r > 0.
+    """
+    with np.errstate(all="ignore"):
+        positive = (f_e_r > 0) & (f_n_r > 0)
+        cop = np.where(positive & (j_e_r < 0), (-j_e_r * beta_r) / (j_n_r * f_n_r), np.nan)
+        eta = np.where(positive & (j_n_r < 0) & (j_e_r > 0),
+                       (-j_n_r * f_n_r) / (beta_l * j_e_r), np.nan)
+    return cop, eta
+
+
 @dataclass(frozen=True)
 class Batch:
     """Everything :func:`evaluate` computes for N points, one entry per row.
@@ -354,19 +370,16 @@ def evaluate(sys: SystemParams, beta, mu, gamma, tol_sign: float = 1e-10,
         regime = np.where(reduced, regime, -1)
         ratio = np.where(reduced, ratio, np.nan)
 
-        positive = (forces[1] > 0) & (forces[2] > 0)
-        has_cop = (regime == _CODE[Regime.ICC_ENERGY]) & positive & (cur[1] < 0)
-        has_eta = ((regime == _CODE[Regime.ICC_PARTICLE]) & positive
-                   & (cur[4] < 0) & (cur[1] > 0))
-        cop = np.where(has_cop, (-cur[1] * beta[1]) / (cur[4] * forces[2]), np.nan)
-        eta = np.where(has_eta, (-cur[4] * forces[2]) / (beta[0] * cur[1]), np.nan)
+        cop, eta = merit(beta[0], beta[1], cur[1], cur[4], forces[1], forces[2])
+        cop = np.where(regime == _CODE[Regime.ICC_ENERGY], cop, np.nan)
+        eta = np.where(regime == _CODE[Regime.ICC_PARTICLE], eta, np.nan)
         res_j_e = cur[0] + cur[1] + cur[2]
         res_j_n = cur[3] + cur[4] + cur[5]
 
         nonfinite = (~np.isfinite(cur).all(axis=0)
                      | ~np.isfinite(np.array((gamma_cw, x, y, m, n, sigma_macro, micro,
                                               res_j_e, res_j_n))).all(axis=0)
-                     | (has_cop & ~np.isfinite(cop)) | (has_eta & ~np.isfinite(eta)))
+                     | np.isinf(cop) | np.isinf(eta))
         status = _first([
             (bad_baths, BAD_BATHS),
             (bad_rates, BAD_RATES),

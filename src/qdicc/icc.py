@@ -131,17 +131,23 @@ def classify(fs: ForceSet, cs: CurrentSet, tol_sign: float = 1e-10,
     return REGIMES[int(code)]
 
 
+def _optional(value) -> float | None:
+    """A float, or None where the engine marks the value undefined with NaN."""
+    value = float(value)
+    return None if np.isnan(value) else value
+
+
 def cop(cs: CurrentSet, baths: BathConfig, fs: ForceSet) -> float | None:
     """Refrigeration coefficient of performance, defined in the
     inverse-energy-current regime (j_e_r < 0 against two positive forces).
 
     zeta = -J_E^r beta_r / (J_N^r f_n_r), bounded by the ideal value
     T_cold / (T_hot - T_cold) built from the two distinct temperatures;
-    returns None outside the regime.
+    returns None outside the regime.  A 1-point view of
+    :func:`qdicc.engine.merit`.
     """
-    if not (fs.f_e_r > 0 and fs.f_n_r > 0 and cs.j_e_r < 0):
-        return None
-    return (-cs.j_e_r * baths.r.beta) / (cs.j_n_r * fs.f_n_r)
+    return _optional(engine.merit(baths.l.beta, baths.r.beta, cs.j_e_r, cs.j_n_r,
+                                  fs.f_e_r, fs.f_n_r)[0])
 
 
 def cop_ideal(baths: BathConfig) -> float:
@@ -159,11 +165,11 @@ def efficiency(cs: CurrentSet, baths: BathConfig, fs: ForceSet) -> float | None:
     (j_n_r < 0 against two positive forces, with j_e_r > 0 as input).
 
     eta = -J_N^r f_n_r / (beta J_E^r) with beta the cold-side inverse
-    temperature; bounded by the Carnot value; None outside the regime.
+    temperature; bounded by the Carnot value; None outside the regime.  A
+    1-point view of :func:`qdicc.engine.merit`.
     """
-    if not (fs.f_e_r > 0 and fs.f_n_r > 0 and cs.j_n_r < 0 and cs.j_e_r > 0):
-        return None
-    return (-cs.j_n_r * fs.f_n_r) / (baths.l.beta * cs.j_e_r)
+    return _optional(engine.merit(baths.l.beta, baths.r.beta, cs.j_e_r, cs.j_n_r,
+                                  fs.f_e_r, fs.f_n_r)[1])
 
 
 def carnot_efficiency(baths: BathConfig) -> float:
@@ -212,11 +218,6 @@ def analyze_point(sys: SystemParams, baths: BathConfig,
                         tol_force=tol_force)
     engine.raise_for_status(b.status[0])
     cur = b.currents[:, 0]
-
-    def optional(values):
-        value = float(values[0])
-        return None if np.isnan(value) else value
-
     return IccPoint(
         forces=ForceSet(*(float(f) for f in b.forces[:, 0])),
         currents=CurrentSet(j_e=cur[0:3], j_n=cur[3:6], j_q=cur[6:9]),
@@ -225,10 +226,10 @@ def analyze_point(sys: SystemParams, baths: BathConfig,
         y=float(b.y[0]),
         m=float(b.m[0]),
         n=float(b.n[0]),
-        pq=optional(b.pq),
+        pq=_optional(b.pq[0]),
         regime=REGIMES[b.regime[0]] if b.regime[0] >= 0 else None,
-        cop=optional(b.cop),
-        efficiency=optional(b.eta),
+        cop=_optional(b.cop[0]),
+        efficiency=_optional(b.eta[0]),
         sigma_macro=float(b.sigma_macro[0]),
         sigma_micro=float(b.sigma_micro[0]),
         res_j_e=float(b.res_j_e[0]),

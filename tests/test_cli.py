@@ -43,6 +43,19 @@ F_N_max = 1.9
 F_N_steps = 5
 """
 
+RAW_CONFIG = f"""
+eps_b = {EPS_B}
+eps_u = {EPS_U}
+kappa = {KAPPA_ATTRACTIVE}
+setup = raw
+beta_l = 1.5
+beta_r = 1.0
+beta_u = 0.9
+mu_l = 0.2
+mu_r = 1.0
+mu_u = 0.5
+"""
+
 
 def write(tmp_path, name, text):
     path = tmp_path / name
@@ -110,19 +123,7 @@ class TestSolve:
             assert float(record["J_E_r"]) > 0
 
     def test_raw_setup(self, tmp_path, capsys):
-        raw = f"""
-eps_b = {EPS_B}
-eps_u = {EPS_U}
-kappa = {KAPPA_ATTRACTIVE}
-setup = raw
-beta_l = 1.5
-beta_r = 1.0
-beta_u = 0.9
-mu_l = 0.2
-mu_r = 1.0
-mu_u = 0.5
-"""
-        cfg = write(tmp_path, "raw.cfg", raw)
+        cfg = write(tmp_path, "raw.cfg", RAW_CONFIG)
         assert main(["solve", "--config", cfg]) == 0
         record = parse_solve_output(capsys.readouterr().out)
         assert record["status"] == "ok"
@@ -219,7 +220,27 @@ class TestSweep:
         assert len(rows) == 1
         assert rows[0][-1] == "error:precondition"
         assert rows[0][4] == ""  # currents left empty
+        assert len(rows[0]) == len(COLUMNS)
+        assert rows[0][2:-1] == ("",) * (len(COLUMNS) - 3)  # forces and status only
 
+    def test_solve_prints_the_sweep_row(self, tmp_path, capsys):
+        # solve and a sweep line share one engine call shape and one row
+        # writer, so solve at a grid cell's forces reproduces its row exactly
+        cfg = write(tmp_path, "sweep.cfg", SWEEP_CONFIG)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 7 * 5
+        point_text = "\n".join(line for line in SWEEP_CONFIG.splitlines()
+                               if not line.startswith(("F_E_", "F_N_")))
+        for row in rows:
+            # the 17 significant digits of a cell round-trip through float()
+            point = write(tmp_path, "point.cfg",
+                          f"{point_text}\nF_E = {row[0]}\nF_N = {row[1]}\n")
+            assert main(["solve", "--config", point]) == 0
+            record = parse_solve_output(capsys.readouterr().out)
+            assert list(record) == list(COLUMNS)
+            assert list(record.values()) == row
 
     def test_fermi_tail_cell_gets_a_typed_status(self, tmp_path):
         # F_E = -0.99, F_N = -711.86 sends q of the cycle predictor to zero;
@@ -324,6 +345,21 @@ class TestExitCodes:
         cfg = write(tmp_path, "bad.cfg", bad)
         assert main(["solve", "--config", cfg]) == 3
         assert "precondition" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        POINT_CONFIG.replace("gamma = 1.0", "gamma = 0"),
+        POINT_CONFIG.replace("F_N = 1.0", "F_N = inf"),
+        RAW_CONFIG.replace("beta_u = 0.9", "beta_u = -1"),
+        RAW_CONFIG + "gamma = 0\n",
+    ], ids=["icc-gamma-0", "icc-F_N-inf", "raw-beta_u-negative", "raw-gamma-0"])
+    def test_invalid_baths_in_solve(self, tmp_path, capsys, text):
+        # the engine's bath gate is the one bath check of solve, as of a sweep
+        cfg = write(tmp_path, "bad.cfg", text)
+        assert main(["solve", "--config", cfg]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("precondition error:")
+        assert captured.err.count("\n") == 1
 
     def test_raw_sweep_rejected(self, tmp_path, capsys):
         raw_sweep = SWEEP_CONFIG.replace("setup = icc", "setup = raw")

@@ -294,6 +294,17 @@ class TestFiguresOfMerit:
         assert eta_c - eta == pytest.approx(sigma / (beta * pt.currents.j_e_r),
                                             abs=1e-10)
 
+    @pytest.mark.parametrize("regime", [Regime.ICC_ENERGY, Regime.ICC_PARTICLE])
+    def test_scalar_figures_are_the_engine_figures(self, attractive_system, regime):
+        # one formula: cop and efficiency are 1-point views of what the
+        # engine writes into the record, to the bit
+        pt, f_e, f_n = self.find_regime_point(attractive_system, regime)
+        beta, mu_l = invert_forces(f_e, f_n, BETA_R, MU_R)
+        baths = icc_reduction(beta, BETA_R, mu_l, MU_R, MU_U)
+        assert cop(pt.currents, baths, pt.forces) == pt.cop
+        assert efficiency(pt.currents, baths, pt.forces) == pt.efficiency
+        assert (pt.cop if regime is Regime.ICC_ENERGY else pt.efficiency) is not None
+
     def test_ideal_bounds_helpers(self):
         baths = icc_reduction(2.0, 1.0, 0.0, 1.0, 1.0)
         assert cop_ideal(baths) == pytest.approx(1.0, abs=1e-14)  # 1/(2-1)
