@@ -46,6 +46,17 @@ def _worker_count(text: str) -> int:
     return value
 
 
+def _tolerance(text: str) -> float:
+    """argparse type of --tol-sign: a finite float of at least 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (np.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qdicc",
@@ -64,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", default="-", help="output path, or - for stdout")
         cmd.add_argument("--threads", type=_worker_count, default=1,
                          help="worker processes for sweeps (default 1)")
-        cmd.add_argument("--tol-sign", type=float, default=1e-10,
+        cmd.add_argument("--tol-sign", type=_tolerance, default=1e-10,
                          help="current magnitude treated as numerically zero")
     return parser
 
@@ -106,8 +117,7 @@ _STATUS_WORDS = {engine.OK: "ok", **{code: _row_status(cls) for code, (cls, _msg
 def _sweep_row(payload) -> list[tuple[str, ...]]:
     """All records for one F_E grid line, from one engine call; importable
     so workers can pickle it."""
-    cfg, tol_sign, f_e, f_n_values = payload
-    sys_params = build_system(cfg)
+    sys_params, cfg, tol_sign, f_e, f_n_values = payload
     f_n = np.asarray(f_n_values, dtype=float)
     try:
         baths, beta, mu_l = point_baths(cfg, f_e, f_n)
@@ -118,12 +128,14 @@ def _sweep_row(payload) -> list[tuple[str, ...]]:
 
 
 def _iter_sweep_rows(cfg: dict, tol_sign: float, threads: int):
-    """Validate the sweep, then return an iterator over its records in
-    row-major order; a bad config raises here, before any output."""
+    """Validate the sweep once, then return its spec and an iterator over
+    its records in row-major order; a bad config raises here, before any
+    output."""
     spec = build_sweep_spec(cfg)
-    build_system(cfg)  # fail fast on bad system parameters
+    sys_params = build_system(cfg)
     f_n_values = tuple(float(v) for v in spec.f_n_values())
-    payloads = [(cfg, tol_sign, float(f_e), f_n_values) for f_e in spec.f_e_values()]
+    payloads = [(sys_params, cfg, tol_sign, float(f_e), f_n_values)
+                for f_e in spec.f_e_values()]
 
     def rows():
         if threads > 1:
@@ -136,7 +148,7 @@ def _iter_sweep_rows(cfg: dict, tol_sign: float, threads: int):
             for payload in payloads:
                 yield from _sweep_row(payload)
 
-    return rows()
+    return spec, rows()
 
 
 def _write_lines(out: str, lines) -> None:
@@ -158,15 +170,14 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    rows = _iter_sweep_rows(cfg, args.tol_sign, args.threads)
+    _spec, rows = _iter_sweep_rows(cfg, args.tol_sign, args.threads)
     _write_lines(args.out, chain([",".join(COLUMNS)], map(",".join, rows)))
     return 0
 
 
 def _cmd_classify_map(args) -> int:
     cfg = load_config(args.config)
-    spec = build_sweep_spec(cfg)
-    records = _iter_sweep_rows(cfg, args.tol_sign, args.threads)
+    spec, records = _iter_sweep_rows(cfg, args.tol_sign, args.threads)
     legend = " ".join(
         f"{code}={name or 'error'}" for name, code in REGIME_CODES.items()
     )

@@ -15,10 +15,10 @@ same functions therefore serve one point (rates of shape (12,)) and a batch
 (shape (12, N)).  Rates, channel fluxes and the network-form entropy come
 from the array kernels of :mod:`qdicc._kernels`.
 
-Per-point failures never raise here.  Every gate of the point pipeline is a
-vectorized mask that sets the row's status code (the first failing gate in
-pipeline order wins); :func:`raise_for_status` turns a code into the
-typed exception that a 1-point view raises.
+Per-point failures never raise here.  Each stage that owns a gate returns
+a per-row status code next to its values, and :func:`evaluate` keeps the
+first failing one in pipeline order; :func:`raise_for_status` turns a code
+into the typed exception, with its message, that a 1-point view raises.
 """
 from __future__ import annotations
 
@@ -77,8 +77,9 @@ ERRORS: dict[int, tuple[type[Exception], str]] = {
     MN_DENOMINATOR: (DegenerateRateError, "rate-ratio denominator vanishes"),
     MN_RANGE: (ValueError, "m and n must be positive and finite"),
     MACRO: (NumericalError, "heat-current and force-flux entropy rates disagree"),
-    LOG_DOMAIN: (LogDomainError, "network entropy form needs strictly "
-                                 "positive rates and populations"),
+    LOG_DOMAIN: (LogDomainError, "rate-log forms (network entropy, microscopic "
+                                 "forces, cycle predictor) need strictly positive "
+                                 "rates and populations"),
     UNREDUCED: (PreconditionError, "cycle predictor is only valid when the "
                                    "upper-lead energy bias vanishes (beta_l = beta_u)"),
     PQ_RANGE: (DegenerateRateError, "cycle predictor: a rate product or ratio "
@@ -89,6 +90,10 @@ ERRORS: dict[int, tuple[type[Exception], str]] = {
                  "rate would be negative"),
     NONFINITE: (NumericalError, "a result is not finite"),
 }
+
+
+# a force of at most this magnitude counts as zero
+TOL_FORCE = 1e-12
 
 
 def raise_for_status(code) -> None:
@@ -176,43 +181,64 @@ def currents(sys: SystemParams, g, mu):
 
 
 def xy(k, g, gamma_cw):
-    """Right-minus-left flux asymmetries x (A<->B) and y (C<->D) and a mask
-    of the rows where the right-lead fluxes recombine as (x + Gamma_cw)/2
-    and (y - Gamma_cw)/2 to within 1e-12 times the largest rate."""
+    """Right-minus-left flux asymmetries x (A<->B) and y (C<->D) and their
+    status: XY where the right-lead fluxes do not recombine as
+    (x + Gamma_cw)/2 and (y - Gamma_cw)/2 to within 1e-12 times the largest
+    rate."""
     x = g[1] - g[0]
     y = g[3] - g[2]
     tol = 1e-12 * np.maximum(1.0, k.max(axis=0))
     with np.errstate(invalid="ignore"):
         ok = ((np.abs(g[1] - 0.5 * (x + gamma_cw)) <= tol)
               & (np.abs(g[3] - 0.5 * (y - gamma_cw)) <= tol))
-    return x, y, ok
+    return x, y, np.where(ok, OK, XY)
 
 
 def mn(k):
-    """Left/right asymmetry ratios m (A<->B channel) and n (C<->D channel),
-    with their denominators."""
+    """Left/right asymmetry ratios m (A<->B channel) and n (C<->D channel)
+    and their status: MN_DENOMINATOR where a denominator vanishes, else
+    MN_RANGE where m or n is not positive and finite."""
     den_m = k[R_BA] * k[L_AB]
     den_n = k[R_DC] * k[L_CD]
     with np.errstate(all="ignore"):
-        return (k[R_AB] * k[L_BA]) / den_m, (k[R_CD] * k[L_DC]) / den_n, den_m, den_n
+        m = (k[R_AB] * k[L_BA]) / den_m
+        n = (k[R_CD] * k[L_DC]) / den_n
+        status = _first([((den_m == 0.0) | (den_n == 0.0), MN_DENOMINATOR),
+                         (~((m > 0) & np.isfinite(m) & (n > 0) & np.isfinite(n)),
+                          MN_RANGE)])
+    return m, n, status
 
 
-def entropy_macro(beta, cur, forces):
-    """Macroscopic entropy production -sum(beta_lam J_Q^lam) and the three
-    force-flux products (J_E^u F_E^u, J_E^r F_E^r, J_N^r F_N^r).
+def forces(beta, mu):
+    """Entropic biases (f_e_u, f_e_r, f_n_r) from the (l, r, u) triples of
+    beta and mu: beta_l - beta_u, beta_l - beta_r, beta_r mu_r - beta_l mu_l."""
+    return np.array((beta[0] - beta[2], beta[0] - beta[1],
+                     beta[1] * mu[1] - beta[0] * mu[0]))
 
-    ``cur`` holds the 9 currents, ``forces`` is (f_e_u, f_e_r, f_n_r).
+
+def entropy_macro(beta, cur, f):
+    """Macroscopic entropy production -sum(beta_lam J_Q^lam), the three
+    force-flux products (J_E^u F_E^u, J_E^r F_E^r, J_N^r F_N^r) and their
+    status: MACRO where the two forms, one identity modulo the conservation
+    laws, differ by more than 1e-12 relative.
+
+    ``cur`` holds the 9 currents, ``f`` is (f_e_u, f_e_r, f_n_r).
     """
     sigma = -(beta[0] * cur[6] + beta[1] * cur[7] + beta[2] * cur[8])
-    return sigma, (cur[2] * forces[0], cur[1] * forces[1], cur[4] * forces[2])
-
-
-def macro_agrees(sigma, decomposition):
-    """Rows where the heat-current and force-flux forms agree to 1e-12
-    relative; they are one identity modulo the conservation laws."""
+    decomposition = (cur[2] * f[0], cur[1] * f[1], cur[4] * f[2])
     flux_form = decomposition[0] + decomposition[1] + decomposition[2]
     with np.errstate(invalid="ignore"):
-        return np.abs(sigma - flux_form) <= 1e-12 * np.maximum(1.0, np.abs(sigma))
+        agree = np.abs(sigma - flux_form) <= 1e-12 * np.maximum(1.0, np.abs(sigma))
+    return sigma, decomposition, np.where(agree, OK, MACRO)
+
+
+def log_domain(k, rho):
+    """Status of the rate-log forms (network entropy, microscopic forces,
+    cycle predictor): LOG_DOMAIN where a rate (12, ...) or a population
+    (4, ...) is not strictly positive, else OK.  A form of the rates alone
+    passes positive populations such as ``np.ones(4)``."""
+    outside = (k <= 0.0).any(axis=0) | (rho <= 0.0).any(axis=0)
+    return np.where(outside, LOG_DOMAIN, OK)
 
 
 def cycle_ratio_l(k):
@@ -239,18 +265,18 @@ def pq_status(k):
                               (~(np.abs(np.log(cycle)) <= 1e-9), UNREDUCED)])
 
 
-def classify(f_e, f_n, j_e, j_n, tol_sign, tol_force):
+def classify(f_e, f_n, j_e, j_n, tol_sign):
     """Regime codes (indices into REGIMES) and status from the two forces and
     their conjugate right-lead currents.
 
     ``tol_sign`` separates numerically zero currents from genuine signals;
-    ``tol_force`` decides when a force counts as zero.  The status is
+    a force counts as zero within TOL_FORCE.  The status is
     ZERO_FORCE for zero forces carrying a current and SECOND_LAW for
     combinations that would make the entropy production rate negative.
     """
     f_e, f_n, j_e, j_n = (np.asarray(v, dtype=float) for v in (f_e, f_n, j_e, j_n))
-    fe_zero = np.abs(f_e) <= tol_force
-    fn_zero = np.abs(f_n) <= tol_force
+    fe_zero = np.abs(f_e) <= TOL_FORCE
+    fn_zero = np.abs(f_n) <= TOL_FORCE
     sign_e = np.where(f_e > 0, 1.0, -1.0)
     sign_n = np.where(f_n > 0, 1.0, -1.0)
     equilibrium = fe_zero & fn_zero
@@ -331,14 +357,13 @@ class Batch:
     res_j_n: np.ndarray
 
 
-def evaluate(sys: SystemParams, beta, mu, gamma, tol_sign: float = 1e-10,
-             tol_force: float = 1e-12) -> Batch:
+def evaluate(sys: SystemParams, beta, mu, gamma, tol_sign: float = 1e-10) -> Batch:
     """Solve and classify N bath configurations in one array pass.
 
     ``beta``, ``mu`` and ``gamma`` are (l, r, u) triples whose entries are
     scalars or arrays broadcasting to N points.  The regime, cycle predictor
     and figures of merit are produced only where the upper-lead energy bias
-    vanishes (|f_e_u| <= tol_force).
+    vanishes (|f_e_u| <= TOL_FORCE).
     """
     bath = np.array(np.broadcast_arrays(*beta, *mu, *gamma), dtype=float)
     if bath.ndim == 1:
@@ -346,9 +371,8 @@ def evaluate(sys: SystemParams, beta, mu, gamma, tol_sign: float = 1e-10,
     beta, mu, gamma = bath[0:3], bath[3:6], bath[6:9]
 
     with np.errstate(all="ignore"):
-        forces = np.array((beta[0] - beta[2], beta[0] - beta[1],
-                           beta[1] * mu[1] - beta[0] * mu[0]))
-        bad_baths = ~(np.isfinite(bath).all(axis=0) & np.isfinite(forces).all(axis=0)
+        f = forces(beta, mu)
+        bad_baths = ~(np.isfinite(bath).all(axis=0) & np.isfinite(f).all(axis=0)
                       & (beta > 0).all(axis=0) & (gamma > 0).all(axis=0))
         k = rate_vector(sys.eps_b, sys.eps_u, sys.kappa, beta, mu, gamma)
         bad_rates = ~(np.isfinite(k) & (k >= 0.0)).all(axis=0)
@@ -357,20 +381,18 @@ def evaluate(sys: SystemParams, beta, mu, gamma, tol_sign: float = 1e-10,
 
         g = channel_fluxes(k, rho)
         cur = currents(sys, g, mu)
-        x, y, xy_ok = xy(k, g, gamma_cw)
-        m, n, den_m, den_n = mn(k)
-        sigma_macro, decomposition = entropy_macro(beta, cur, forces)
-        log_domain = (k <= 0.0).any(axis=0) | (rho <= 0.0).any(axis=0)
+        x, y, xy_status = xy(k, g, gamma_cw)
+        m, n, mn_status = mn(k)
+        sigma_macro, _decomposition, macro_status = entropy_macro(beta, cur, f)
         micro = schnakenberg(k, rho)[0]
 
-        reduced = np.abs(forces[0]) <= tol_force
+        reduced = np.abs(f[0]) <= TOL_FORCE
         ratio, pq_codes = pq_status(k)
-        regime, cls_codes = classify(forces[1], forces[2], cur[1], cur[4],
-                                     tol_sign, tol_force)
+        regime, cls_codes = classify(f[1], f[2], cur[1], cur[4], tol_sign)
         regime = np.where(reduced, regime, -1)
         ratio = np.where(reduced, ratio, np.nan)
 
-        cop, eta = merit(beta[0], beta[1], cur[1], cur[4], forces[1], forces[2])
+        cop, eta = merit(beta[0], beta[1], cur[1], cur[4], f[1], f[2])
         cop = np.where(regime == _CODE[Regime.ICC_ENERGY], cop, np.nan)
         eta = np.where(regime == _CODE[Regime.ICC_PARTICLE], eta, np.nan)
         res_j_e = cur[0] + cur[1] + cur[2]
@@ -383,18 +405,14 @@ def evaluate(sys: SystemParams, beta, mu, gamma, tol_sign: float = 1e-10,
         status = _first([
             (bad_baths, BAD_BATHS),
             (bad_rates, BAD_RATES),
-            (ss_status != OK, ss_status),
-            (~xy_ok, XY),
-            ((den_m == 0.0) | (den_n == 0.0), MN_DENOMINATOR),
-            (~((m > 0) & np.isfinite(m) & (n > 0) & np.isfinite(n)), MN_RANGE),
-            (~macro_agrees(sigma_macro, decomposition), MACRO),
-            (log_domain, LOG_DOMAIN),
+            *((code != OK, code) for code in (ss_status, xy_status, mn_status,
+                                              macro_status, log_domain(k, rho))),
             (reduced & (pq_codes != OK), pq_codes),
             (reduced & (cls_codes != OK), cls_codes),
             (nonfinite, NONFINITE),
         ])
 
     return Batch(status=status, k=k, rho=rho, gamma_cw=gamma_cw, legs=legs,
-                 forces=forces, currents=cur, x=x, y=y, m=m, n=n, pq=ratio,
+                 forces=f, currents=cur, x=x, y=y, m=m, n=n, pq=ratio,
                  sigma_macro=sigma_macro, sigma_micro=micro, regime=regime,
                  cop=cop, eta=eta, res_j_e=res_j_e, res_j_n=res_j_n)

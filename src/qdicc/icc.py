@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _kernels, engine
 from .engine import REGIMES, Regime
-from .errors import NumericalError, PreconditionError
+from .errors import PreconditionError
 from .kinetics import RateConstants
 from .model import BathConfig, Lead, Reservoir, SystemParams
 from .steadystate import SteadyState
@@ -87,9 +87,8 @@ def xy_variables(rc: RateConstants, ss: SteadyState) -> tuple[float, float]:
     fluxes recombine as (x + Gamma_cw)/2 and (y - Gamma_cw)/2.
     """
     g = _kernels.channel_fluxes(rc.values, ss.rho.values)
-    x, y, ok = engine.xy(rc.values, g, ss.gamma_cw)
-    if not ok:
-        raise NumericalError("channel fluxes inconsistent with the cycle flux")
+    x, y, status = engine.xy(rc.values, g, ss.gamma_cw)
+    engine.raise_for_status(status)
     return float(x), float(y)
 
 
@@ -105,28 +104,26 @@ def pq_ratio(rc: RateConstants) -> float:
     and the clockwise cycle flux has the sign of (p/q - 1): above one the
     cycle runs clockwise, below one anticlockwise, at one it stalls.
 
-    Raises :class:`PreconditionError` when called outside the reduced
-    setup (detected through the lead-l cycle product deviating from one).
+    Raises :class:`LogDomainError` unless every rate is strictly positive,
+    and :class:`PreconditionError` when called outside the reduced setup
+    (detected through the lead-l cycle product deviating from one).
     """
-    if (rc.values <= 0).any():
-        raise PreconditionError("cycle predictor needs strictly positive rates")
+    engine.raise_for_status(engine.log_domain(rc.values, np.ones(4)))
     ratio, status = engine.pq_status(rc.values)
     engine.raise_for_status(status)
     return float(ratio)
 
 
-def classify(fs: ForceSet, cs: CurrentSet, tol_sign: float = 1e-10,
-             tol_force: float = 1e-12) -> Regime:
+def classify(fs: ForceSet, cs: CurrentSet, tol_sign: float = 1e-10) -> Regime:
     """Assign a regime label from the two-force set and right-lead currents.
 
     ``tol_sign`` separates numerically zero currents from genuine signals;
-    ``tol_force`` decides when a force counts as zero.  Both quadrants of
-    parallel forces are handled by sign mirroring; anti-parallel quadrants
-    map to the cross effects.  Combinations that would make the entropy
+    a force counts as zero within :data:`qdicc.engine.TOL_FORCE`.  Both
+    quadrants of parallel forces are handled by sign mirroring;
+    anti-parallel quadrants map to the cross effects.  Combinations that would make the entropy
     production rate negative raise :class:`SecondLawViolationError`.
     """
-    code, status = engine.classify(fs.f_e_r, fs.f_n_r, cs.j_e_r, cs.j_n_r,
-                                   tol_sign, tol_force)
+    code, status = engine.classify(fs.f_e_r, fs.f_n_r, cs.j_e_r, cs.j_n_r, tol_sign)
     engine.raise_for_status(status)
     return REGIMES[int(code)]
 
@@ -202,20 +199,18 @@ class IccPoint:
 
 
 def analyze_point(sys: SystemParams, baths: BathConfig,
-                  tol_sign: float = 1e-10,
-                  tol_force: float = 1e-12) -> IccPoint:
+                  tol_sign: float = 1e-10) -> IccPoint:
     """Solve one configuration end to end and classify it.
 
     A 1-point view of :func:`qdicc.engine.evaluate`: a failing gate raises
     the typed exception of its status.  The cycle predictor, regime label
     and performance figures are only produced when the configuration
-    actually is two-force reduced (zero upper-lead energy bias); otherwise
-    those fields are None.
+    actually is two-force reduced (upper-lead energy bias within
+    :data:`qdicc.engine.TOL_FORCE` of zero); otherwise those fields are None.
     """
     res = (baths.l, baths.r, baths.u)
     b = engine.evaluate(sys, tuple(r.beta for r in res), tuple(r.mu for r in res),
-                        tuple(r.gamma for r in res), tol_sign=tol_sign,
-                        tol_force=tol_force)
+                        tuple(r.gamma for r in res), tol_sign=tol_sign)
     engine.raise_for_status(b.status[0])
     cur = b.currents[:, 0]
     return IccPoint(

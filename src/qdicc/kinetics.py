@@ -53,8 +53,8 @@ class RateConstants:
         v = np.asarray(self.values, dtype=float)
         if v.shape != (12,):
             raise ValueError(f"expected 12 channel rates, got shape {v.shape}")
-        if not np.all(np.isfinite(v)) or np.any(v < 0):
-            raise ValueError("rate constants must be finite and non-negative")
+        if not (np.isfinite(v) & (v >= 0.0)).all():
+            engine.raise_for_status(engine.BAD_RATES)
         object.__setattr__(self, "values", v)
 
     def rate(self, lead: Lead, i: StateIndex, j: StateIndex) -> float:

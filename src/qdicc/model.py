@@ -143,10 +143,6 @@ class BathConfig:
             if res.label is not want:
                 raise ValueError(f"reservoir in slot '{name}' carries label {res.label}")
 
-    @property
-    def equal_gamma(self) -> bool:
-        return self.l.gamma == self.r.gamma == self.u.gamma
-
     def reservoir(self, lead: Lead) -> Reservoir:
         return {Lead.L: self.l, Lead.R: self.r, Lead.U: self.u}[lead]
 

@@ -37,9 +37,11 @@ def steady_state(w: Generator) -> SteadyState:
     when the spanning-tree normalization Z is zero or not finite, and
     :class:`NumericalError` when |W rho| or the spread of the four cycle
     legs exceeds 1e-12 times the largest rate, which would indicate a
-    corrupted generator rather than roundoff.
+    corrupted generator rather than roundoff.  ``w`` is a :class:`Generator`;
+    any other array is validated as one, as :func:`qdicc.kinetics.evolve`
+    does, and a ``ValueError`` names the first failure.
     """
-    w_arr = w.matrix if isinstance(w, Generator) else np.asarray(w, float)
+    w_arr = (w if isinstance(w, Generator) else Generator(w)).matrix
     rho, gamma_cw, legs, status = engine.stationary(*engine.ring_from_generator(w_arr))
     engine.raise_for_status(status)
     return SteadyState(rho=PopulationVector(rho), gamma_cw=float(gamma_cw), legs=legs)

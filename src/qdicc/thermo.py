@@ -25,8 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels, engine
-from .errors import (DegenerateRateError, LogDomainError, NumericalError,
-                     UndefinedForceError)
+from .errors import UndefinedForceError
 from .kinetics import PopulationVector, RateConstants, Trajectory
 from .model import BathConfig, SystemParams
 from .transport import CurrentSet
@@ -86,19 +85,17 @@ class EntropyReport:
 
 
 def forces_macro(baths: BathConfig) -> ForceSet:
-    """Entropic biases from reservoir parameters alone."""
-    return ForceSet(
-        f_e_u=baths.l.beta - baths.u.beta,
-        f_e_r=baths.l.beta - baths.r.beta,
-        f_n_r=baths.r.beta * baths.r.mu - baths.l.beta * baths.l.mu,
-    )
+    """Entropic biases from reservoir parameters alone; a 1-point view of
+    :func:`qdicc.engine.forces`."""
+    res = (baths.l, baths.r, baths.u)
+    return ForceSet(*(float(f) for f in engine.forces(tuple(r.beta for r in res),
+                                                      tuple(r.mu for r in res))))
 
 
 def mn_factors(rc: RateConstants) -> MNFactors:
     """Rate-asymmetry ratios m and n of the two bottom-dot channels."""
-    m, n, den_m, den_n = engine.mn(rc.values)
-    if den_m == 0.0 or den_n == 0.0:
-        raise DegenerateRateError("rate-ratio denominator vanishes")
+    m, n, status = engine.mn(rc.values)
+    engine.raise_for_status(status)
     return MNFactors(m=float(m), n=float(n))
 
 
@@ -113,8 +110,7 @@ def forces_micro(rc: RateConstants, sys: SystemParams) -> ForceSet:
     """
     if sys.kappa == 0.0:
         raise UndefinedForceError("microscopic forces are undefined for kappa = 0")
-    if np.any(rc.values <= 0.0):
-        raise LogDomainError("microscopic forces need strictly positive rates")
+    engine.raise_for_status(engine.log_domain(rc.values, np.ones(4)))
     inv_kappa = 1.0 / sys.kappa
     theta = sys.theta
     cycle_l = float(engine.cycle_ratio_l(rc.values))
@@ -136,26 +132,19 @@ def entropy_production_macro(cs: CurrentSet, baths: BathConfig,
     force-flux sum; the two are the same identity modulo the conservation
     laws, so a mismatch beyond 1e-12 raises.
     """
-    sigma_q, decomposition = engine.entropy_macro(
+    sigma_q, decomposition, status = engine.entropy_macro(
         (baths.l.beta, baths.r.beta, baths.u.beta),
         np.concatenate((cs.j_e, cs.j_n, cs.j_q)), (fs.f_e_u, fs.f_e_r, fs.f_n_r))
-    sigma_q = float(sigma_q)
-    decomposition = tuple(float(d) for d in decomposition)
-    if not engine.macro_agrees(sigma_q, decomposition):
-        raise NumericalError(
-            f"heat-current and force-flux entropy rates disagree: "
-            f"{sigma_q!r} vs {sum(decomposition)!r}"
-        )
-    return EntropyReport(sigma_dot_macro=sigma_q, decomposition=decomposition)
+    engine.raise_for_status(status)
+    return EntropyReport(sigma_dot_macro=float(sigma_q),
+                         decomposition=tuple(float(d) for d in decomposition))
 
 
-def _validated_rho(rho) -> np.ndarray:
+def _network_form(rc: RateConstants, rho):
+    """(sigma, phi, terms) of the network form, inside its log domain."""
     values = rho.values if isinstance(rho, PopulationVector) else np.asarray(rho, float)
-    if np.any(values <= 0.0):
-        raise LogDomainError(
-            "network entropy form needs strictly positive populations"
-        )
-    return values
+    engine.raise_for_status(engine.log_domain(rc.values, values))
+    return _kernels.schnakenberg(rc.values, values)
 
 
 def entropy_production_micro(rc: RateConstants, rho) -> EntropyReport:
@@ -165,21 +154,14 @@ def entropy_production_micro(rc: RateConstants, rho) -> EntropyReport:
     strictly positive (zero populations belong to the boundary where the
     rate-log form diverges; they are rejected, never clamped).
     """
-    if np.any(rc.values <= 0.0):
-        raise LogDomainError("network entropy form needs strictly positive rates")
-    values = _validated_rho(rho)
-    sigma, phi, _terms = _kernels.schnakenberg(rc.values, values)
+    sigma, phi, _terms = _network_form(rc, rho)
     return EntropyReport(sigma_dot=float(sigma), phi_dot=float(phi))
 
 
 def schnakenberg_terms(rc: RateConstants, rho) -> np.ndarray:
     """The six individually non-negative production summands, in the
     channel order of :func:`qdicc._kernels.channel_fluxes`."""
-    if np.any(rc.values <= 0.0):
-        raise LogDomainError("network entropy form needs strictly positive rates")
-    values = _validated_rho(rho)
-    _sigma, _phi, terms = _kernels.schnakenberg(rc.values, values)
-    return np.asarray(terms)
+    return np.asarray(_network_form(rc, rho)[2])
 
 
 @dataclass(frozen=True)
@@ -208,10 +190,8 @@ def entropy_balance_transient(trajectory: Trajectory,
     pops = np.asarray(trajectory.populations, float)
     if len(times) < 3:
         raise ValueError("need at least three samples for a centered difference")
-    if np.any(pops <= 0.0):
-        raise LogDomainError("trajectory touches the simplex boundary")
-    if np.any(rc.values <= 0.0):
-        raise LogDomainError("network entropy form needs strictly positive rates")
+    # one status per sample: any sample on the simplex boundary raises
+    engine.raise_for_status(engine.log_domain(rc.values, pops.T).max())
     shannon = -np.sum(pops * np.log(pops), axis=1)
     ds_dt = (shannon[2:] - shannon[:-2]) / (times[2:] - times[:-2])
     sigma, phi, _terms = _kernels.schnakenberg(rc.values[:, None], pops[1:-1].T)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qdicc.cli import main
-from qdicc.config import COLUMNS, parse_config_text
+from qdicc.config import COLUMNS, build_system, parse_config_text
 
 from conftest import BETA_R, EPS_B, EPS_U, KAPPA_ATTRACTIVE, MU_R, MU_U
 
@@ -216,7 +216,7 @@ class TestSweep:
         from qdicc.cli import _sweep_row
         cfg = parse_config_text(POINT_CONFIG)
         del cfg["F_E"], cfg["F_N"]
-        rows = _sweep_row((cfg, 1e-10, -2.0, (0.5,)))  # beta would go negative
+        rows = _sweep_row((build_system(cfg), cfg, 1e-10, -2.0, (0.5,)))  # beta would go negative
         assert len(rows) == 1
         assert rows[0][-1] == "error:precondition"
         assert rows[0][4] == ""  # currents left empty
@@ -396,6 +396,15 @@ class TestExitCodes:
             main(["sweep", "--config", cfg, "--threads", threads])
         assert exc.value.code == 2
         assert "--threads: must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_tol_sign_not_finite_or_negative_rejected(self, tmp_path, capsys, tol):
+        # nan or inf would label every cell Normal, -1 every cell an error
+        cfg = write(tmp_path, "sweep.cfg", SWEEP_CONFIG)
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", cfg, "--tol-sign", tol])
+        assert exc.value.code == 2
+        assert "--tol-sign: must be finite and non-negative" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_the_process_pool_out():

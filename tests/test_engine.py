@@ -1,15 +1,21 @@
 """Batched engine: oracles for the spanning-tree steady state, batch/point
 agreement, per-row status gates and whole-box physics properties."""
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdicc import (QdiccError, RateConstants, SystemParams, analyze_point,
-                   cycle_flux_closed_form, engine, generator, icc_reduction,
-                   invert_forces)
+from qdicc import (CurrentSet, QdiccError, RateConstants, SystemParams, Trajectory,
+                   analyze_point, cycle_flux_closed_form, engine,
+                   entropy_balance_transient, entropy_production_macro,
+                   entropy_production_micro, forces_macro, forces_micro,
+                   generator, icc_reduction, invert_forces, mn_factors,
+                   pq_ratio, rate_constants, schnakenberg_terms, steady_state)
+from qdicc._kernels import R_BA, U_AC
 
 from conftest import BETA_R, EPS_B, EPS_U, MU_R, MU_U, random_baths, random_system
 
@@ -136,6 +142,48 @@ class TestStatus:
         for code, (cls, _message) in engine.ERRORS.items():
             with pytest.raises(cls):
                 engine.raise_for_status(code)
+
+    def test_scalar_views_raise_the_engine_error(self):
+        # a failing 1-point call raises the class and message that a sweep
+        # row records as its status
+        sys = SystemParams(eps_b=EPS_B, eps_u=EPS_U, kappa=-1.5)
+        baths = icc_reduction(1.0, BETA_R, 0.5, MU_R, MU_U)
+        rc = rate_constants(sys, baths)
+        rho = steady_state(generator(rc)).rho
+        zero_den, zero_rate = rc.values.copy(), rc.values.copy()
+        zero_den[R_BA] = 0.0
+        zero_rate[U_AC] = 0.0
+        zero_den, zero_rate = RateConstants(zero_den), RateConstants(zero_rate)
+        boundary = Trajectory(times=np.arange(3.0),
+                              populations=np.array([rho.values, [1.0, 0.0, 0.0, 0.0],
+                                                    rho.values]))
+        pt = analyze_point(sys, baths)
+        cur = pt.currents
+        perturbed = CurrentSet(j_e=cur.j_e, j_n=cur.j_n, j_q=cur.j_q * 1.5)
+        cases = [
+            (engine.MN_DENOMINATOR, lambda: mn_factors(zero_den)),
+            (engine.LOG_DOMAIN, lambda: entropy_production_micro(zero_rate, rho)),
+            (engine.LOG_DOMAIN, lambda: schnakenberg_terms(zero_rate, rho)),
+            (engine.LOG_DOMAIN, lambda: forces_micro(zero_rate, sys)),
+            (engine.LOG_DOMAIN, lambda: pq_ratio(zero_rate)),
+            (engine.LOG_DOMAIN, lambda: entropy_balance_transient(boundary, rc)),
+            (engine.MACRO,
+             lambda: entropy_production_macro(perturbed, baths, forces_macro(baths))),
+        ]
+        for code, call in cases:
+            cls, message = engine.ERRORS[code]
+            with pytest.raises(cls) as exc:
+                call()
+            assert (type(exc.value), str(exc.value)) == (cls, message)
+
+
+def test_each_gate_message_is_written_once():
+    # a gate message re-inlined in a scalar view would drift from the engine's
+    strings = [node.value for path in Path(engine.__file__).parent.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    for _cls, message in engine.ERRORS.values():
+        assert sum(message in text for text in strings) == 1, message
 
 
 @pytest.mark.filterwarnings("ignore:eps_b \\+ kappa = 0")

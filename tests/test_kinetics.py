@@ -282,8 +282,8 @@ class TestEvolve:
         assert np.abs(traj.populations - 0.25).max() < 1e-15
 
     def test_raw_matrix_is_validated_as_generator(self):
-        # the steady-state anchor reads only the ring entries of W, so a raw
-        # array that is not a generator must be refused, not integrated
+        # the steady state reads only the ring entries of W, so a raw array
+        # that is not a generator must be refused, not integrated or solved
         w = generator(rate_constants(SystemParams(eps_b=1.0, eps_u=2.5, kappa=-1.5),
                                      equal_baths(beta=1.0, mu=1.0))).matrix
         blocked, leaky, negative = w.copy(), w.copy(), w.copy()
@@ -296,6 +296,8 @@ class TestEvolve:
                            (negative, "non-negative")):
             with pytest.raises(ValueError, match=match):
                 evolve(np.full(4, 0.25), bad, dt=1e-3, t_end=0.01)
+            with pytest.raises(ValueError, match=match):
+                steady_state(bad)
 
     @pytest.mark.parametrize("dt, t_end", [(1e-3, np.inf), (np.nan, 1.0),
                                            (1e-3, np.nan), (np.inf, 1.0)])
