@@ -5,16 +5,18 @@ channel order below and populations (4, ...) in state order, so one
 function serves a single point (rates of shape (12,)) and a batch (rates
 of shape (12, N)).
 
-Live kernels, each the one implementation of its quantity: rates
+Live kernels, each the one implementation of its quantity: the Fermi
+occupations (:func:`occupations`, also behind ``model.fermi_plus``,
+``model.fermi_minus`` and the closed-form cycle flux), rates
 (:func:`rate_vector`), the generator (:func:`generator_matrix`), channel
 fluxes (:func:`channel_fluxes`), the network-form entropy
 (:func:`schnakenberg`) and the RK4 transient (:func:`rk4_evolve`: RK4's
 one-step matrix applied to the deviation from a stationary anchor, one
-matrix-vector product per step, with every step still policed), plus
-the scalar occupation :func:`fermi_occ` behind ``model.fermi_plus``,
-``model.fermi_minus`` and the closed-form cycle flux.  The tables
-``_EXCITE``/``_RELAX``/``_LOWER``/``_UPPER`` are the one place in this
-module that says which channel joins which states.
+matrix-vector product per step, with every step still policed).  The
+tables ``_EXCITE``/``_RELAX``/``_LEAD``/``_LOWER``/``_UPPER`` and the mask
+``_BLOCKED`` built from them are the one place in the package that says
+which lead and which states each channel joins; :mod:`qdicc.kinetics`
+reads its channel index and its blocked generator entries off them.
 
 ``solve4``, ``steady_rho``, ``cycle_legs`` and ``currents_vector`` are no
 longer called by the package: the spanning-tree steady state of
@@ -39,13 +41,18 @@ L_AB, L_BA, L_CD, L_DC = 0, 1, 2, 3
 R_AB, R_BA, R_CD, R_DC = 4, 5, 6, 7
 U_AC, U_CA, U_BD, U_DB = 8, 9, 10, 11
 
-# the six (lead, pair) channels: excitation channel, its reversal, and the
-# lower and upper state of the pair; order AB via l, AB via r, CD via l,
-# CD via r, AC via u, BD via u
+# the six (lead, pair) channels: excitation channel, its reversal, its lead
+# (0, 1, 2 = l, r, u) and the lower and upper state of the pair; order AB
+# via l, AB via r, CD via l, CD via r, AC via u, BD via u
 _EXCITE = np.array((L_AB, R_AB, L_CD, R_CD, U_AC, U_BD))
 _RELAX = np.array((L_BA, R_BA, L_DC, R_DC, U_CA, U_DB))
+_LEAD = np.array((0, 1, 0, 1, 2, 2))
 _LOWER = np.array((0, 0, 2, 2, 0, 1))
 _UPPER = np.array((1, 1, 3, 3, 2, 3))
+
+# the off-diagonal generator entries no channel feeds: B<->C and A<->D
+_BLOCKED = ~np.eye(4, dtype=bool)
+_BLOCKED[_LOWER, _UPPER] = _BLOCKED[_UPPER, _LOWER] = False
 
 # rk4_evolve's simplex policing: normalization drift above RENORM_TOL is
 # repaired, drift above DRIFT_TOL or a population below -NEGATIVE_TOL aborts;
@@ -55,13 +62,19 @@ DRIFT_TOL = 1e-9
 NEGATIVE_TOL = 1e-9
 
 
-def fermi_occ(beta, mu, omega):
-    """Occupation [1 + exp(beta*(omega - mu))]^-1, overflow-safe branch form."""
-    x = beta * (omega - mu)
-    if x >= 0.0:
-        e = np.exp(-x)
-        return e / (1.0 + e)
-    return 1.0 / (1.0 + np.exp(x))
+def occupations(x):
+    """Fermi occupations (f(x), f(-x)) with f(x) = [1 + exp(x)]^-1.
+
+    Overflow-safe branch form: both come from the one exp(-|x|), so
+    f(x) + f(-x) = 1 holds to within an ulp and each keeps full relative
+    accuracy deep in the Fermi tails, where 1 - f would lose all
+    significance.  ``x`` is a scalar or an array.
+    """
+    e = np.exp(-np.abs(x))
+    den = 1.0 + e
+    small, big = e / den, 1.0 / den
+    upper = x >= 0.0
+    return np.where(upper, small, big), np.where(upper, big, small)
 
 
 def rate_vector(eps_b, eps_u, kappa, beta, mu, gamma):
@@ -69,26 +82,22 @@ def rate_vector(eps_b, eps_u, kappa, beta, mu, gamma):
 
     ``beta``, ``mu`` and ``gamma`` are (l, r, u) triples of scalars (one
     point, rates of shape (12,)) or of arrays of one shape (N,) (a batch,
-    rates of shape (12, N)).  Each excitation/de-excitation pair shares one
-    occupation evaluation in an overflow-safe branch form, so the fermionic
-    sum rule k+ + k- = gamma holds to within an ulp and both partners keep
-    full relative accuracy even deep in the Fermi tails; computing the hole
-    factor as 1 - f would lose all significance when f is close to one.
+    rates of shape (12, N)).  Each table channel takes x = beta_lam (omega -
+    mu_lam) of its lead and transition energy, its excitation rate
+    gamma_lam f(x) and its relaxation rate gamma_lam f(-x) from one
+    :func:`occupations` call, so the fermionic sum rule k+ + k- = gamma
+    holds to within an ulp.
     """
     beta, mu, gamma = (np.asarray(v, dtype=float) for v in (beta, mu, gamma))
-    # per channel pair in channel order: its lead (l, l, r, r, u, u) and energy
-    lead = [0, 0, 1, 1, 2, 2]
-    omega = np.array((eps_b, eps_b + kappa) * 2 + (eps_u, eps_u + kappa))
+    # transition energy of each table channel
+    omega = np.array((eps_b, eps_b, eps_b + kappa, eps_b + kappa, eps_u, eps_u + kappa))
     omega = omega.reshape((6,) + (1,) * (beta.ndim - 1))
-    x = beta[lead] * (omega - mu[lead])
-    g = gamma[lead]
-    e = np.exp(-np.abs(x))
-    den = 1.0 + e
-    small, big = e / den, 1.0 / den
-    upper = x >= 0.0
+    x = beta[_LEAD] * (omega - mu[_LEAD])
+    excite, relax = occupations(x)
+    g = gamma[_LEAD]
     k = np.empty((12, *x.shape[1:]))
-    k[0::2] = g * np.where(upper, small, big)  # even channels excite
-    k[1::2] = g * np.where(upper, big, small)
+    k[_EXCITE] = g * excite
+    k[_RELAX] = g * relax
     return k
 
 

@@ -17,7 +17,7 @@ from . import __version__, engine
 from .config import (COLUMNS, build_sweep_spec, build_system, load_config,
                      point_baths, raw_baths, record_fields)
 from .engine import Regime
-from .errors import ConfigError, NumericalError, PreconditionError, QdiccError
+from .errors import ConfigError, NumericalError, PreconditionError
 # unused here: perfbench's tracer test asserts that it patches this binding;
 # it goes when the benchmark spans are re-targeted (ROADMAP item 1)
 from .icc import analyze_point  # noqa: F401
@@ -98,33 +98,18 @@ def _solve_record(cfg: dict, tol_sign: float) -> tuple[str, ...]:
     engine.raise_for_status(batch.status[0])
     if raw:
         f_e, f_n = batch.forces[1:, 0]
-    return record_fields(f_e, f_n, beta, mu_l, batch, _STATUS_WORDS)[0]
-
-
-def _row_status(cls: type) -> str:
-    if issubclass(cls, NumericalError):
-        return "error:numerical"
-    if issubclass(cls, (PreconditionError, ValueError)):
-        return "error:precondition"
-    return "error:config"
-
-
-# the status column's word for each engine status code
-_STATUS_WORDS = {engine.OK: "ok", **{code: _row_status(cls) for code, (cls, _msg)
-                                     in engine.ERRORS.items()}}
+    return record_fields(f_e, f_n, beta, mu_l, batch)[0]
 
 
 def _sweep_row(payload) -> list[tuple[str, ...]]:
     """All records for one F_E grid line, from one engine call; importable
-    so workers can pickle it."""
+    so workers can pickle it.  ``build_sweep_spec`` has checked the line's
+    baths, so every failure is a batch row's status."""
     sys_params, cfg, tol_sign, f_e, f_n_values = payload
     f_n = np.asarray(f_n_values, dtype=float)
-    try:
-        baths, beta, mu_l = point_baths(cfg, f_e, f_n)
-    except (QdiccError, ValueError) as exc:
-        return record_fields(f_e, f_n, None, None, None, _row_status(type(exc)))
+    baths, beta, mu_l = point_baths(cfg, f_e, f_n)
     batch = engine.evaluate(sys_params, *baths, tol_sign=tol_sign)
-    return record_fields(f_e, f_n, beta, mu_l, batch, _STATUS_WORDS)
+    return record_fields(f_e, f_n, beta, mu_l, batch)
 
 
 def _iter_sweep_rows(cfg: dict, tol_sign: float, threads: int):

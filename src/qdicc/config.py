@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import REGIMES, Batch
-from .errors import ConfigError, PreconditionError
+from .engine import ERRORS, OK, REGIMES, Batch
+from .errors import ConfigError, NumericalError, PreconditionError
 from .icc import invert_forces
 from .model import SystemParams
 
@@ -204,29 +204,32 @@ def build_sweep_spec(cfg: dict) -> SweepSpec:
         f_e_min=cfg["F_E_min"], f_e_max=cfg["F_E_max"], f_e_steps=cfg["F_E_steps"],
         f_n_min=cfg["F_N_min"], f_n_max=cfg["F_N_max"], f_n_steps=cfg["F_N_steps"],
     )
-    if cfg["beta_r"] + spec.f_e_min <= 0:
-        raise ConfigError("beta_r + F_E_min must stay positive")
+    # bounds the derived beta = beta_r + F_E of every line: point_baths cannot
+    # fail inside a sweep
+    if cfg["beta_r"] + min(spec.f_e_min, spec.f_e_max) <= 0:
+        raise ConfigError("beta_r + F_E must stay positive along the whole F_E axis")
     return spec
 
+
+# the status column's word for each engine status code
+STATUS_WORDS = {OK: "ok", **{
+    code: "error:numerical" if issubclass(cls, NumericalError) else "error:precondition"
+    for code, (cls, _msg) in ERRORS.items()}}
 
 # a failed row keeps its forces and status; every other cell stays empty
 _EMPTY = ("",) * (len(COLUMNS) - 3)
 
 
-def record_fields(f_e: float, f_n, beta, mu_l, batch: Batch | None,
-                  status_words) -> list[tuple[str, ...]]:
+def record_fields(f_e: float, f_n, beta, mu_l, batch: Batch) -> list[tuple[str, ...]]:
     """The rows of one F_E line in COLUMNS order, one per batch point.
 
     ``f_n`` and the derived bath parameters ``beta`` and ``mu_l`` of
-    :func:`point_baths` broadcast to the batch, and ``status_words`` names
-    each status code of the batch.  Without a batch (the line's baths could
-    not be built) there is one row per entry of the array ``f_n``, each
-    keeping only its forces, and ``status_words`` is their one status word.
+    :func:`point_baths` broadcast to the batch.  Every row comes from a
+    batch point: one that failed a gate keeps its forces and the
+    :data:`STATUS_WORDS` word of its status, with every other cell empty.
     """
     fmt = "{:.16e}".format
     f_e_cell = fmt(f_e)
-    if batch is None:
-        return [(f_e_cell, fmt(f), *_EMPTY, status_words) for f in f_n.tolist()]
 
     def optional(value):  # NaN marks a cell the batch leaves undefined
         return "" if value != value else fmt(value)
@@ -241,12 +244,12 @@ def record_fields(f_e: float, f_n, beta, mu_l, batch: Batch | None,
     rows = []
     for code, regime, v in zip(batch.status.tolist(), batch.regime.tolist(), cells):
         if code:
-            rows.append((f_e_cell, fmt(v[0]), *_EMPTY, status_words[code]))
+            rows.append((f_e_cell, fmt(v[0]), *_EMPTY, STATUS_WORDS[code]))
             continue
         rows.append((
             f_e_cell, *map(fmt, v[:17]), optional(v[17]), fmt(v[18]),
             fmt(v[19]), REGIMES[regime].value if regime >= 0 else "",
             optional(v[20]), optional(v[21]), fmt(v[22]), fmt(v[23]),
-            status_words[code],
+            STATUS_WORDS[code],
         ))
     return rows

@@ -208,9 +208,7 @@ def analyze_point(sys: SystemParams, baths: BathConfig,
     actually is two-force reduced (upper-lead energy bias within
     :data:`qdicc.engine.TOL_FORCE` of zero); otherwise those fields are None.
     """
-    res = (baths.l, baths.r, baths.u)
-    b = engine.evaluate(sys, tuple(r.beta for r in res), tuple(r.mu for r in res),
-                        tuple(r.gamma for r in res), tol_sign=tol_sign)
+    b = engine.evaluate(sys, *baths.triples, tol_sign=tol_sign)
     engine.raise_for_status(b.status[0])
     cur = b.currents[:, 0]
     return IccPoint(

@@ -16,31 +16,18 @@ from . import _kernels, engine
 from .errors import ForbiddenTransitionError
 from .model import BathConfig, Lead, StateIndex, SystemParams
 
-# (lead, from-state, to-state) -> flat channel index, matching _kernels layout
-CHANNEL_INDEX: dict[tuple[Lead, StateIndex, StateIndex], int] = {
-    (Lead.L, StateIndex.A, StateIndex.B): _kernels.L_AB,
-    (Lead.L, StateIndex.B, StateIndex.A): _kernels.L_BA,
-    (Lead.L, StateIndex.C, StateIndex.D): _kernels.L_CD,
-    (Lead.L, StateIndex.D, StateIndex.C): _kernels.L_DC,
-    (Lead.R, StateIndex.A, StateIndex.B): _kernels.R_AB,
-    (Lead.R, StateIndex.B, StateIndex.A): _kernels.R_BA,
-    (Lead.R, StateIndex.C, StateIndex.D): _kernels.R_CD,
-    (Lead.R, StateIndex.D, StateIndex.C): _kernels.R_DC,
-    (Lead.U, StateIndex.A, StateIndex.C): _kernels.U_AC,
-    (Lead.U, StateIndex.C, StateIndex.A): _kernels.U_CA,
-    (Lead.U, StateIndex.B, StateIndex.D): _kernels.U_BD,
-    (Lead.U, StateIndex.D, StateIndex.B): _kernels.U_DB,
-}
+# excitation-direction (lead, lower, upper) channels in _kernels table order,
+# for sum-rule checks
+CHANNEL_PAIRS: tuple[tuple[Lead, StateIndex, StateIndex], ...] = tuple(
+    (list(Lead)[lead], StateIndex(lower), StateIndex(upper)) for lead, lower, upper
+    in zip(_kernels._LEAD.tolist(), _kernels._LOWER.tolist(), _kernels._UPPER.tolist()))
 
-# excitation-direction channels paired with their reversals, for sum-rule checks
-CHANNEL_PAIRS: tuple[tuple[Lead, StateIndex, StateIndex], ...] = (
-    (Lead.L, StateIndex.A, StateIndex.B),
-    (Lead.L, StateIndex.C, StateIndex.D),
-    (Lead.R, StateIndex.A, StateIndex.B),
-    (Lead.R, StateIndex.C, StateIndex.D),
-    (Lead.U, StateIndex.A, StateIndex.C),
-    (Lead.U, StateIndex.B, StateIndex.D),
-)
+# (lead, from-state, to-state) -> flat channel index, read off the same tables
+CHANNEL_INDEX: dict[tuple[Lead, StateIndex, StateIndex], int] = {
+    **dict(zip(CHANNEL_PAIRS, _kernels._EXCITE.tolist())),
+    **{(lead, upper, lower): idx for (lead, lower, upper), idx
+       in zip(CHANNEL_PAIRS, _kernels._RELAX.tolist())},
+}
 
 
 @dataclass(frozen=True)
@@ -118,18 +105,17 @@ class Generator:
         scale = max(1.0, float(np.abs(w).max()))
         if np.any(np.abs(w.sum(axis=0)) > self.COLUMN_SUM_TOL * scale):
             raise ValueError("generator columns must sum to zero")
-        for i, j in ((1, 2), (2, 1), (0, 3), (3, 0)):
-            if w[i, j] != 0.0:
-                raise ValueError(f"blocked transition entry W[{i},{j}] must be zero")
+        nonzero = np.argwhere(_kernels._BLOCKED & (w != 0.0)).tolist()
+        if nonzero:
+            i, j = nonzero[0]
+            raise ValueError(f"blocked transition entry W[{i},{j}] must be zero")
         object.__setattr__(self, "matrix", w)
 
 
 def rate_constants(sys: SystemParams, baths: BathConfig) -> RateConstants:
     """All 12 directed rate constants for the given system and reservoirs."""
-    res = (baths.l, baths.r, baths.u)
-    return RateConstants(_kernels.rate_vector(
-        sys.eps_b, sys.eps_u, sys.kappa, tuple(r.beta for r in res),
-        tuple(r.mu for r in res), tuple(r.gamma for r in res)))
+    return RateConstants(_kernels.rate_vector(sys.eps_b, sys.eps_u, sys.kappa,
+                                              *baths.triples))
 
 
 def generator(rc: RateConstants) -> Generator:
@@ -177,12 +163,15 @@ def evolve(rho0, w, dt: float, t_end: float, sample_stride: int = 1) -> Trajecto
     sequence).  ``w`` is a :class:`Generator`; any other array is validated
     as one (4x4, finite, non-negative off the diagonal, zero column sums,
     zero blocked entries) and a ``ValueError`` names the first failure.
-    ``dt`` and ``t_end`` must be finite.
+    ``dt``, ``t_end`` and the step count t_end / dt must be finite.
     """
     if not (np.isfinite(dt) and np.isfinite(t_end)):
         raise ValueError(f"dt and t_end must be finite, got dt={dt}, t_end={t_end}")
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
+    steps = float(t_end) / float(dt)  # a float overflow here is inf, not a warning
+    if not np.isfinite(steps):
+        raise ValueError(f"t_end / dt must be finite, got dt={dt}, t_end={t_end}")
     if t_end < dt:
         raise ValueError(f"t_end must be at least dt, got t_end={t_end}, dt={dt}")
     if sample_stride < 1:
@@ -195,7 +184,7 @@ def evolve(rho0, w, dt: float, t_end: float, sample_stride: int = 1) -> Trajecto
     w_arr = (w if isinstance(w, Generator) else Generator(w)).matrix
     rho_ss, _, _, status = engine.stationary(*engine.ring_from_generator(w_arr))
     anchor = rho_ss if status == engine.OK else np.zeros(4)
-    n_steps = int(round(t_end / dt))
+    n_steps = int(round(steps))
     times, samples = _kernels.rk4_evolve(
         w_arr, rho_arr, float(dt), n_steps, int(sample_stride), anchor)
     return Trajectory(times=times, populations=samples)

@@ -146,6 +146,11 @@ class BathConfig:
     def reservoir(self, lead: Lead) -> Reservoir:
         return {Lead.L: self.l, Lead.R: self.r, Lead.U: self.u}[lead]
 
+    @property
+    def triples(self) -> tuple[tuple[float, float, float], ...]:
+        """The (l, r, u) triples (beta, mu, gamma) that the engine takes."""
+        return tuple(zip(*((r.beta, r.mu, r.gamma) for r in (self.l, self.r, self.u))))
+
 
 @dataclass(frozen=True)
 class TransitionTable:
@@ -212,7 +217,7 @@ def fermi_plus(res: Reservoir, omega: float) -> float:
     """
     if not math.isfinite(omega):
         raise ValueError(f"transition energy must be finite, got {omega}")
-    return float(_kernels.fermi_occ(res.beta, res.mu, omega))
+    return float(_kernels.occupations(res.beta * (omega - res.mu))[0])
 
 
 def fermi_minus(res: Reservoir, omega: float) -> float:
@@ -223,4 +228,4 @@ def fermi_minus(res: Reservoir, omega: float) -> float:
     """
     if not math.isfinite(omega):
         raise ValueError(f"transition energy must be finite, got {omega}")
-    return float(_kernels.fermi_occ(res.beta, -res.mu, omega))
+    return float(_kernels.occupations(res.beta * (omega + res.mu))[0])

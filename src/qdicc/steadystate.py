@@ -62,7 +62,7 @@ def cycle_flux_closed_form(sys: SystemParams, baths: BathConfig) -> float:
     the negated cycle affinity imbalance).  Requires gamma_l = gamma_r =
     gamma_u.
     """
-    g_l, g_r, g_u = baths.l.gamma, baths.r.gamma, baths.u.gamma
+    (b_l, b_r, b_u), (m_l, m_r, m_u), (g_l, g_r, g_u) = baths.triples
     gmax = max(g_l, g_r, g_u)
     if max(abs(g_l - g_r), abs(g_l - g_u)) > 1e-12 * gmax:
         raise PreconditionError(
@@ -71,12 +71,11 @@ def cycle_flux_closed_form(sys: SystemParams, baths: BathConfig) -> float:
         )
     gamma = g_l
     tt = transition_energies(sys)
-    f1 = (_kernels.fermi_occ(baths.l.beta, baths.l.mu, tt.omega_ab)
-          + _kernels.fermi_occ(baths.r.beta, baths.r.mu, tt.omega_ab))
-    f2 = (_kernels.fermi_occ(baths.l.beta, baths.l.mu, tt.omega_cd)
-          + _kernels.fermi_occ(baths.r.beta, baths.r.mu, tt.omega_cd))
-    g1 = _kernels.fermi_occ(baths.u.beta, baths.u.mu, tt.omega_ac)
-    g2 = _kernels.fermi_occ(baths.u.beta, baths.u.mu, tt.omega_bd)
+    f = _kernels.occupations(np.array((
+        b_l * (tt.omega_ab - m_l), b_r * (tt.omega_ab - m_r),
+        b_l * (tt.omega_cd - m_l), b_r * (tt.omega_cd - m_r),
+        b_u * (tt.omega_ac - m_u), b_u * (tt.omega_bd - m_u))))[0]
+    f1, f2, g1, g2 = f[0] + f[1], f[2] + f[3], f[4], f[5]
     num = f1 * (f2 * (g2 - g1) + 2.0 * g2 * (g1 - 1.0)) - 2.0 * g1 * f2 * (g2 - 1.0)
     den = 3.0 * f1 * (g1 - g2) - 6.0 + 3.0 * f2 * (g2 - g1)
     return float(gamma * num / den)

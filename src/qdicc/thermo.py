@@ -87,9 +87,7 @@ class EntropyReport:
 def forces_macro(baths: BathConfig) -> ForceSet:
     """Entropic biases from reservoir parameters alone; a 1-point view of
     :func:`qdicc.engine.forces`."""
-    res = (baths.l, baths.r, baths.u)
-    return ForceSet(*(float(f) for f in engine.forces(tuple(r.beta for r in res),
-                                                      tuple(r.mu for r in res))))
+    return ForceSet(*(float(f) for f in engine.forces(*baths.triples[:2])))
 
 
 def mn_factors(rc: RateConstants) -> MNFactors:
@@ -133,8 +131,8 @@ def entropy_production_macro(cs: CurrentSet, baths: BathConfig,
     laws, so a mismatch beyond 1e-12 raises.
     """
     sigma_q, decomposition, status = engine.entropy_macro(
-        (baths.l.beta, baths.r.beta, baths.u.beta),
-        np.concatenate((cs.j_e, cs.j_n, cs.j_q)), (fs.f_e_u, fs.f_e_r, fs.f_n_r))
+        baths.triples[0], np.concatenate((cs.j_e, cs.j_n, cs.j_q)),
+        (fs.f_e_u, fs.f_e_r, fs.f_n_r))
     engine.raise_for_status(status)
     return EntropyReport(sigma_dot_macro=float(sigma_q),
                          decomposition=tuple(float(d) for d in decomposition))

@@ -87,7 +87,7 @@ def currents(rc: RateConstants, ss: SteadyState, sys: SystemParams,
     """
     rho = ss.rho.values if isinstance(ss.rho, PopulationVector) else np.asarray(ss.rho)
     out = engine.currents(sys, _kernels.channel_fluxes(rc.values, rho),
-                          (baths.l.mu, baths.r.mu, baths.u.mu))
+                          baths.triples[1])
     return CurrentSet(j_e=out[0:3], j_n=out[3:6], j_q=out[6:9])
 
 

@@ -216,7 +216,9 @@ class TestSweep:
         from qdicc.cli import _sweep_row
         cfg = parse_config_text(POINT_CONFIG)
         del cfg["F_E"], cfg["F_N"]
-        rows = _sweep_row((build_system(cfg), cfg, 1e-10, -2.0, (0.5,)))  # beta would go negative
+        # the Fermi-tail cell of test_fermi_tail_cell_gets_a_typed_status
+        # fails an engine gate
+        rows = _sweep_row((build_system(cfg), cfg, 1e-10, -0.99, (-711.86,)))
         assert len(rows) == 1
         assert rows[0][-1] == "error:precondition"
         assert rows[0][4] == ""  # currents left empty
@@ -366,10 +368,23 @@ class TestExitCodes:
         cfg = write(tmp_path, "raw.cfg", raw_sweep)
         assert main(["sweep", "--config", cfg]) == 3
 
-    def test_invertibility_guard(self, tmp_path):
+    def test_invertibility_guard(self, tmp_path, capsys):
         bad = SWEEP_CONFIG.replace("F_E_min = 0.1", "F_E_min = -2.0")
         cfg = write(tmp_path, "bad.cfg", bad)
         assert main(["sweep", "--config", cfg]) == 2
+        # beta = beta_r + F_E must stay positive at F_E_max too, not only at
+        # F_E_min: this axis runs from 0.5 down to -1.5 with beta_r = 1
+        assert BETA_R == 1.0
+        descending = SWEEP_CONFIG.replace("F_E_min = 0.1", "F_E_min = 0.5") \
+                                 .replace("F_E_max = 1.9", "F_E_max = -1.5")
+        cfg = write(tmp_path, "descending.cfg", descending)
+        capsys.readouterr()
+        for command in ("sweep", "classify-map"):
+            out = tmp_path / f"{command}.out"
+            assert main([command, "--config", cfg, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and err.count("\n") == 1
+            assert not out.exists()
 
     @pytest.mark.parametrize("command, text", [("sweep", SWEEP_CONFIG),
                                                ("solve", POINT_CONFIG),

@@ -1,4 +1,5 @@
 """Rate constants, generator structure, net rates and time evolution."""
+import math
 import warnings
 
 import numpy as np
@@ -8,7 +9,8 @@ from qdicc import (ForbiddenTransitionError, IntegrationError, Lead,
                    PopulationVector, StateIndex, SystemParams, evolve,
                    generator, net_transition_rate, rate_constants,
                    steady_state)
-from qdicc.kinetics import CHANNEL_PAIRS
+from qdicc import _kernels
+from qdicc.kinetics import CHANNEL_INDEX, CHANNEL_PAIRS
 
 from conftest import equal_baths, gibbs_state, make_baths, random_baths, random_system
 
@@ -49,6 +51,46 @@ class TestRateConstants:
             rc.rate(Lead.L, StateIndex.B, StateIndex.C)
         with pytest.raises(ForbiddenTransitionError):
             rc.rate(Lead.U, StateIndex.A, StateIndex.B)
+
+
+class TestChannelTable:
+    # the ring's channel layout written out by hand: the oracle for the
+    # index, the pairs and the blocked mask derived from the _kernels tables
+    A, B, C, D = StateIndex
+    INDEX = {
+        (Lead.L, A, B): 0, (Lead.L, B, A): 1, (Lead.L, C, D): 2, (Lead.L, D, C): 3,
+        (Lead.R, A, B): 4, (Lead.R, B, A): 5, (Lead.R, C, D): 6, (Lead.R, D, C): 7,
+        (Lead.U, A, C): 8, (Lead.U, C, A): 9, (Lead.U, B, D): 10, (Lead.U, D, B): 11,
+    }
+    PAIRS = {(Lead.L, A, B), (Lead.L, C, D), (Lead.R, A, B), (Lead.R, C, D),
+             (Lead.U, A, C), (Lead.U, B, D)}
+    BLOCKED = {(1, 2), (2, 1), (0, 3), (3, 0)}
+
+    def test_channel_index(self):
+        assert CHANNEL_INDEX == self.INDEX
+
+    def test_channel_pairs(self):
+        assert len(CHANNEL_PAIRS) == 6
+        assert set(CHANNEL_PAIRS) == self.PAIRS
+
+    def test_blocked_mask(self):
+        assert {tuple(ij) for ij in np.argwhere(_kernels._BLOCKED).tolist()} == self.BLOCKED
+
+    def test_rates_sit_at_their_oracle_index(self):
+        # each lead distinct, so a channel read with the wrong lead, energy
+        # or direction misses its Fermi factor
+        sys = SystemParams(eps_b=1.0, eps_u=2.5, kappa=-1.5)
+        baths = make_baths(0.7, 1.3, 2.1, 0.4, 1.1, 3.0, 0.5, 1.0, 2.0)
+        rc = rate_constants(sys, baths)
+        energy = (0.0, sys.eps_b, sys.eps_u, sys.eps_b + sys.eps_u + sys.kappa)
+        for (lead, i, j), idx in self.INDEX.items():
+            res = baths.reservoir(lead)
+            # a particle enters on the way from the pair's emptier state (the
+            # lower index) to its fuller one, and leaves on the way back
+            lower, upper = min(i, j), max(i, j)
+            x = res.beta * (energy[upper] - energy[lower] - res.mu)
+            f = 1.0 / (1.0 + math.exp(x if i < j else -x))
+            assert rc.values[idx] == pytest.approx(res.gamma * f, rel=1e-13)
 
 
 class TestGenerator:
@@ -300,7 +342,8 @@ class TestEvolve:
                 steady_state(bad)
 
     @pytest.mark.parametrize("dt, t_end", [(1e-3, np.inf), (np.nan, 1.0),
-                                           (1e-3, np.nan), (np.inf, 1.0)])
+                                           (1e-3, np.nan), (np.inf, 1.0),
+                                           (1e-300, 1e10)])  # t_end / dt overflows
     def test_non_finite_times_rejected(self, dt, t_end):
         with pytest.raises(ValueError, match="finite"):
             evolve([0.25, 0.25, 0.25, 0.25], np.zeros((4, 4)), dt=dt, t_end=t_end)
