@@ -16,23 +16,14 @@ import numpy as np
 from . import __version__, engine
 from .config import (COLUMNS, build_sweep_spec, build_system, load_config,
                      point_baths, raw_baths, record_fields)
-from .engine import Regime
 from .errors import ConfigError, NumericalError, PreconditionError
 # unused here: perfbench's tracer test asserts that it patches this binding;
 # it goes when the benchmark spans are re-targeted (ROADMAP item 1)
 from .icc import analyze_point  # noqa: F401
 
-REGIME_CODES = {
-    Regime.EQUILIBRIUM.value: "0",
-    Regime.NORMAL.value: ".",
-    Regime.CROSS_EFFECT_ENERGY.value: "x",
-    Regime.CROSS_EFFECT_PARTICLE.value: "y",
-    Regime.PSEUDO_ICC_ENERGY.value: "e",
-    Regime.PSEUDO_ICC_PARTICLE.value: "n",
-    Regime.ICC_ENERGY.value: "E",
-    Regime.ICC_PARTICLE.value: "N",
-    "": "!",
-}
+# the map's code of each engine regime code; index -1 marks a failed or
+# unclassified cell
+MAP_CODES = "0.xyenEN!"
 
 
 def _worker_count(text: str) -> int:
@@ -101,39 +92,50 @@ def _solve_record(cfg: dict, tol_sign: float) -> tuple[str, ...]:
     return record_fields(f_e, f_n, beta, mu_l, batch)[0]
 
 
-def _sweep_row(payload) -> list[tuple[str, ...]]:
-    """All records for one F_E grid line, from one engine call; importable
-    so workers can pickle it.  ``build_sweep_spec`` has checked the line's
-    baths, so every failure is a batch row's status."""
+def _line_batch(payload):
+    """One engine call over one F_E grid line: ``(f_e, f_n, beta, mu_l,
+    batch)``.  ``build_sweep_spec`` has checked the line's baths, so every
+    failure is a batch row's status."""
     sys_params, cfg, tol_sign, f_e, f_n_values = payload
     f_n = np.asarray(f_n_values, dtype=float)
     baths, beta, mu_l = point_baths(cfg, f_e, f_n)
-    batch = engine.evaluate(sys_params, *baths, tol_sign=tol_sign)
-    return record_fields(f_e, f_n, beta, mu_l, batch)
+    return f_e, f_n, beta, mu_l, engine.evaluate(sys_params, *baths, tol_sign=tol_sign)
 
 
-def _iter_sweep_rows(cfg: dict, tol_sign: float, threads: int):
+def _sweep_row(payload) -> list[tuple[str, ...]]:
+    """All CSV records of one F_E grid line; importable so workers can
+    pickle it."""
+    return record_fields(*_line_batch(payload))
+
+
+def _map_row(payload) -> str:
+    """One F_E grid line's map row, read off the engine's status and regime
+    codes; importable so workers can pickle it."""
+    batch = _line_batch(payload)[-1]
+    codes = np.where(batch.status == engine.OK, batch.regime, -1)
+    return "".join([MAP_CODES[c] for c in codes.tolist()])
+
+
+def _iter_lines(cfg: dict, tol_sign: float, threads: int, line):
     """Validate the sweep once, then return its spec and an iterator over
-    its records in row-major order; a bad config raises here, before any
-    output."""
+    ``line(payload)`` for each F_E grid line in order; a bad config raises
+    here, before any output."""
     spec = build_sweep_spec(cfg)
     sys_params = build_system(cfg)
     f_n_values = tuple(float(v) for v in spec.f_n_values())
     payloads = [(sys_params, cfg, tol_sign, float(f_e), f_n_values)
                 for f_e in spec.f_e_values()]
 
-    def rows():
+    def lines():
         if threads > 1:
             # imported here: the pool machinery costs every CLI start ~20 ms
             from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=threads) as pool:
-                for row_block in pool.map(_sweep_row, payloads):
-                    yield from row_block
+                yield from pool.map(line, payloads)
         else:
-            for payload in payloads:
-                yield from _sweep_row(payload)
+            yield from map(line, payloads)
 
-    return spec, rows()
+    return spec, lines()
 
 
 def _write_lines(out: str, lines) -> None:
@@ -155,28 +157,23 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    _spec, rows = _iter_sweep_rows(cfg, args.tol_sign, args.threads)
+    _spec, lines = _iter_lines(cfg, args.tol_sign, args.threads, _sweep_row)
+    rows = chain.from_iterable(lines)
     _write_lines(args.out, chain([",".join(COLUMNS)], map(",".join, rows)))
     return 0
 
 
 def _cmd_classify_map(args) -> int:
     cfg = load_config(args.config)
-    spec, records = _iter_sweep_rows(cfg, args.tol_sign, args.threads)
-    legend = " ".join(
-        f"{code}={name or 'error'}" for name, code in REGIME_CODES.items()
-    )
+    spec, map_rows = _iter_lines(cfg, args.tol_sign, args.threads, _map_row)
+    legend = " ".join(f"{code}={name}" for name, code in
+                      zip([r.value for r in engine.REGIMES] + ["error"], MAP_CODES))
     header = [
         "# regime map, one code per grid cell",
         f"# rows: F_E from {spec.f_e_min:g} to {spec.f_e_max:g} in {spec.f_e_steps} steps",
         f"# columns: F_N from {spec.f_n_min:g} to {spec.f_n_max:g} in {spec.f_n_steps} steps",
         f"# legend: {legend}",
     ]
-    regime_col = COLUMNS.index("regime")
-    codes = (REGIME_CODES[record[regime_col]] if record[-1] == "ok" else "!"
-             for record in records)
-    # one map row per f_n_steps codes, taken from the one shared iterator
-    map_rows = map("".join, zip(*[codes] * spec.f_n_steps))
     _write_lines(args.out, chain(header, map_rows))
     return 0
 

@@ -197,8 +197,9 @@ def build_sweep_spec(cfg: dict) -> SweepSpec:
             raise ConfigError(f"{key} conflicts with sweep axes; remove it")
     _require(cfg, "F_E_min", "F_E_max", "F_E_steps",
              "F_N_min", "F_N_max", "F_N_steps", "beta_r", "mu_r")
-    for key in ("F_E_min", "F_E_max", "F_N_min", "F_N_max"):
-        if not np.isfinite(cfg[key]):
+    for key in ("F_E_min", "F_E_max", "F_N_min", "F_N_max",
+                "beta_r", "mu_r", "mu_u", "gamma"):
+        if key in cfg and not np.isfinite(cfg[key]):
             raise ConfigError(f"{key} must be finite, got {cfg[key]!r}")
     spec = SweepSpec(
         f_e_min=cfg["F_E_min"], f_e_max=cfg["F_E_max"], f_e_steps=cfg["F_E_steps"],

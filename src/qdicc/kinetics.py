@@ -136,6 +136,11 @@ def net_transition_rate(rc: RateConstants, rho, i: StateIndex, j: StateIndex,
     return k_fwd * float(values[StateIndex(i)]) - k_bwd * float(values[StateIndex(j)])
 
 
+# the most RK4 steps one evolve call takes: 10x the acceptance transient
+# (dt = 1e-3, t_end = 1e3); a larger t_end / dt raises ValueError at once
+MAX_STEPS = 10**7
+
+
 @dataclass(frozen=True)
 class Trajectory:
     """Sampled population evolution: times[i] paired with populations[i, :]."""
@@ -163,7 +168,8 @@ def evolve(rho0, w, dt: float, t_end: float, sample_stride: int = 1) -> Trajecto
     sequence).  ``w`` is a :class:`Generator`; any other array is validated
     as one (4x4, finite, non-negative off the diagonal, zero column sums,
     zero blocked entries) and a ``ValueError`` names the first failure.
-    ``dt``, ``t_end`` and the step count t_end / dt must be finite.
+    ``dt``, ``t_end`` and the step count t_end / dt must be finite, and
+    the step count at most :data:`MAX_STEPS` (10^7).
     """
     if not (np.isfinite(dt) and np.isfinite(t_end)):
         raise ValueError(f"dt and t_end must be finite, got dt={dt}, t_end={t_end}")
@@ -172,6 +178,9 @@ def evolve(rho0, w, dt: float, t_end: float, sample_stride: int = 1) -> Trajecto
     steps = float(t_end) / float(dt)  # a float overflow here is inf, not a warning
     if not np.isfinite(steps):
         raise ValueError(f"t_end / dt must be finite, got dt={dt}, t_end={t_end}")
+    if steps > MAX_STEPS:
+        raise ValueError(f"t_end / dt asks for {steps:.3g} steps, "
+                         f"more than MAX_STEPS = {MAX_STEPS}")
     if t_end < dt:
         raise ValueError(f"t_end must be at least dt, got t_end={t_end}, dt={dt}")
     if sample_stride < 1:

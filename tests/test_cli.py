@@ -1,11 +1,14 @@
 """Command-line surface: config parsing, outputs, determinism, exit codes."""
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdicc.cli import main
 from qdicc.config import COLUMNS, build_system, parse_config_text
@@ -43,6 +46,14 @@ F_N_max = 1.9
 F_N_steps = 5
 """
 
+# the Fermi-tail window where most cells fail an engine gate
+CENSUS_CONFIG = (SWEEP_CONFIG.replace("F_E_min = 0.1", "F_E_min = -0.99")
+                 .replace("F_E_max = 1.9", "F_E_max = 400")
+                 .replace("F_N_min = 0.1", "F_N_min = -2000")
+                 .replace("F_N_max = 1.9", "F_N_max = 2000")
+                 .replace("F_E_steps = 7", "F_E_steps = 20")
+                 .replace("F_N_steps = 5", "F_N_steps = 20"))
+
 RAW_CONFIG = f"""
 eps_b = {EPS_B}
 eps_u = {EPS_U}
@@ -55,6 +66,14 @@ mu_l = 0.2
 mu_r = 1.0
 mu_u = 0.5
 """
+
+
+# bath values for the contract property: zero, negative, tiny, huge, past
+# exp's range and non-finite
+BATH_VALUES = ["0", "-1", "1e-300", "1e300", "-1e300", "700", "-700",
+               "nan", "inf", "-inf", "1"]
+
+NON_FINITE = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)
 
 
 def write(tmp_path, name, text):
@@ -176,11 +195,13 @@ class TestSweep:
         main(["sweep", "--config", cfg, "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_threads_do_not_change_bytes(self, tmp_path):
+    @pytest.mark.parametrize("command", ["sweep", "classify-map"])
+    def test_threads_do_not_change_bytes(self, tmp_path, command):
+        # with --threads 2 each grid line is rendered in a worker process
         cfg = write(tmp_path, "sweep.cfg", SWEEP_CONFIG)
         serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-        main(["sweep", "--config", cfg, "--out", str(serial)])
-        main(["sweep", "--config", cfg, "--out", str(parallel), "--threads", "2"])
+        main([command, "--config", cfg, "--out", str(serial)])
+        main([command, "--config", cfg, "--out", str(parallel), "--threads", "2"])
         assert serial.read_bytes() == parallel.read_bytes()
 
     def test_sweep_requires_axes(self, tmp_path):
@@ -282,10 +303,14 @@ class TestSweep:
 
     @pytest.mark.parametrize("command", ["sweep", "classify-map"])
     @pytest.mark.parametrize("key, value", [("F_E_min", "nan"), ("F_E_max", "inf"),
-                                            ("F_N_min", "-inf"), ("F_N_max", "nan")])
+                                            ("F_N_min", "-inf"), ("F_N_max", "nan"),
+                                            ("beta_r", "inf"), ("mu_r", "nan"),
+                                            ("mu_u", "-inf"), ("gamma", "nan")])
     def test_non_finite_axis_bound_rejected(self, tmp_path, capsys, command, key, value):
         # a NaN bound slips past every comparison and used to fill the F_E or
-        # F_N column with nan, or the map with '!', under exit code 0
+        # F_N column with nan, or the map with '!', under exit code 0; a
+        # non-finite bath key used to give a grid of failed cells, and
+        # beta_r = inf a numpy warning on stderr as well
         line = next(ln for ln in SWEEP_CONFIG.splitlines() if ln.startswith(key))
         cfg = write(tmp_path, "bad.cfg", SWEEP_CONFIG.replace(line, f"{key} = {value}"))
         out = tmp_path / "never.csv"
@@ -306,6 +331,28 @@ class TestClassifyMap:
                      "--out", str(out)]) == 0
         golden = Path(__file__).resolve().parent / "data" / "inverse_plane.map"
         assert out.read_text() == golden.read_text()
+
+    def test_map_matches_sweep_columns(self, tmp_path):
+        # the map reads the engine's codes; the CSV's regime and status
+        # columns, read back through this table, must give the same cells
+        code_of = {"Equilibrium": "0", "Normal": ".", "CrossEffectEnergy": "x",
+                   "CrossEffectParticle": "y", "PseudoIccEnergy": "e",
+                   "PseudoIccParticle": "n", "IccEnergy": "E", "IccParticle": "N",
+                   "": "!"}
+        cfg = write(tmp_path, "census.cfg", CENSUS_CONFIG)
+        csv, grid = tmp_path / "census.csv", tmp_path / "census.map"
+        assert main(["sweep", "--config", cfg, "--out", str(csv)]) == 0
+        assert main(["classify-map", "--config", cfg, "--out", str(grid)]) == 0
+        regime, status = COLUMNS.index("regime"), COLUMNS.index("status")
+        cells = [code_of[row[regime]] if row[status] == "ok" else "!"
+                 for row in (line.split(",") for line in
+                             csv.read_text().splitlines()[1:])]
+        expected = ["".join(cells[i:i + 20]) for i in range(0, 400, 20)]
+        rows = [line for line in grid.read_text().splitlines()
+                if not line.startswith("#")]
+        assert rows == expected
+        # the window holds both classified and failed cells
+        assert 0 < "".join(rows).count("!") < 400
 
     def test_grid_shape_and_legend(self, tmp_path):
         cfg = write(tmp_path, "sweep.cfg", SWEEP_CONFIG)
@@ -403,6 +450,34 @@ class TestExitCodes:
         assert err.startswith("output error:") and err.count("\n") == 1
         assert not out.parent.exists()
         assert calls == []
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.fixed_dictionaries({key: st.sampled_from(BATH_VALUES)
+                                  for key in ("beta_r", "mu_r", "mu_u", "gamma")}))
+    def test_bath_values_keep_the_contract(self, tmp_path_factory, baths):
+        # a 3x3 grid under extreme, zero, negative and non-finite bath values:
+        # a documented exit code, no escaping exception or warning, no nan or
+        # inf token, and on success one CSV row per cell and one map row of
+        # F_N_steps codes per F_E line
+        text = SWEEP_CONFIG.replace("F_E_steps = 7", "F_E_steps = 3") \
+                           .replace("F_N_steps = 5", "F_N_steps = 3")
+        for key, value in baths.items():
+            line = next(ln for ln in text.splitlines() if ln.startswith(key))
+            text = text.replace(line, f"{key} = {value}")
+        tmp = tmp_path_factory.mktemp("baths")
+        cfg = write(tmp, "baths.cfg", text)
+        for command in ("sweep", "classify-map"):
+            out = tmp / f"{command}.out"
+            code = main([command, "--config", cfg, "--out", str(out)])
+            assert code in (0, 2, 3, 4)
+            if code == 0:
+                output = out.read_text()
+                assert NON_FINITE.search(output) is None
+                if command == "sweep":
+                    assert len(output.splitlines()) == 1 + 3 * 3
+                else:
+                    grid = [ln for ln in output.splitlines() if not ln.startswith("#")]
+                    assert [len(row) for row in grid] == [3, 3, 3]
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_rejected(self, tmp_path, capsys, threads):

@@ -310,6 +310,9 @@ class TestEvolve:
         for shape in ((3, 3), (5, 5), (4, 5)):
             with pytest.raises(ValueError, match="4x4"):
                 evolve(np.full(4, 0.25), np.zeros(shape), dt=0.1, t_end=1.0)
+        # 10^10 steps, above MAX_STEPS: refused before the kernel runs
+        with pytest.raises(ValueError, match="steps"):
+            evolve(np.full(4, 0.25), w, dt=1e-300, t_end=1e-290)
 
     def test_overflowing_tree_weights_fall_back_to_zero_anchor(self):
         # ring rates of 1e120 overflow the spanning-tree weights (products of
