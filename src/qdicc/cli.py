@@ -8,6 +8,7 @@ the worker count.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from itertools import chain
 
@@ -65,7 +66,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="path to a key = value config file")
         cmd.add_argument("--out", default="-", help="output path, or - for stdout")
         cmd.add_argument("--threads", type=_worker_count, default=1,
-                         help="worker processes for sweeps (default 1)")
+                         help="worker processes for sweeps (default 1; at most "
+                              "one per F_E line and per CPU)")
         cmd.add_argument("--tol-sign", type=_tolerance, default=1e-10,
                          help="current magnitude treated as numerically zero")
     return parser
@@ -126,11 +128,14 @@ def _iter_lines(cfg: dict, tol_sign: float, threads: int, line):
     payloads = [(sys_params, cfg, tol_sign, float(f_e), f_n_values)
                 for f_e in spec.f_e_values()]
 
+    # a pool starts every worker it is given: no more than lines or CPUs
+    workers = min(threads, len(payloads), os.cpu_count() or 1)
+
     def lines():
-        if threads > 1:
+        if workers > 1:
             # imported here: the pool machinery costs every CLI start ~20 ms
             from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=threads) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 yield from pool.map(line, payloads)
         else:
             yield from map(line, payloads)

@@ -17,8 +17,10 @@ from the array kernels of :mod:`qdicc._kernels`.
 
 Per-point failures never raise here.  Each stage that owns a gate returns
 a per-row status code next to its values, and :func:`evaluate` keeps the
-first failing one in pipeline order; :func:`raise_for_status` turns a code
-into the typed exception, with its message, that a 1-point view raises.
+first failing one in pipeline order, in one pass over the stacked codes;
+:func:`raise_for_status` turns a code into the typed exception, with its
+message, that a 1-point view raises.  :func:`classify` reads each point's
+regime and status from one table of the two-force plane's rules.
 """
 from __future__ import annotations
 
@@ -54,7 +56,6 @@ class Regime(enum.Enum):
 
 # regime codes of a batch index this tuple; -1 means not classified
 REGIMES: tuple[Regime, ...] = tuple(Regime)
-_CODE = {regime: code for code, regime in enumerate(REGIMES)}
 
 
 # Per-row status codes: 0 is ok, every other code names the gate a row
@@ -104,15 +105,6 @@ def raise_for_status(code) -> None:
         raise cls(message)
 
 
-def _first(cases, default=OK):
-    """Per element, the value of the first (mask, value) case whose mask
-    holds, else ``default``."""
-    out = default
-    for mask, value in reversed(cases):
-        out = np.where(mask, value, out)
-    return out
-
-
 # neighbours of ring state j: j - 1, j - 2 (= j + 2) and j + 1 (= j - 3)
 _PREV1, _PREV2, _NEXT1 = np.array((3, 0, 1, 2)), np.array((2, 3, 0, 1)), np.array((1, 2, 3, 0))
 
@@ -159,9 +151,10 @@ def stationary(fwd, bwd):
         outflow = fwd + bwd[_PREV1]
         residual = np.abs(fp[_PREV1] + bp - outflow * p).max(axis=0)
         tol = 1e-12 * np.maximum(1.0, outflow.max(axis=0))
-        status = _first([(~(np.isfinite(z) & (z > 0.0)), DEGENERATE),
-                         (~(residual <= tol), RESIDUAL),
-                         (~(np.abs(legs - gamma_cw).max(axis=0) <= tol), LEGS)])
+        status = np.where(~(np.isfinite(z) & (z > 0.0)), DEGENERATE,
+                          np.where(~(residual <= tol), RESIDUAL,
+                                   np.where(np.abs(legs - gamma_cw).max(axis=0) <= tol,
+                                            OK, LEGS)))
     return p[list(RING)], gamma_cw, legs, status
 
 
@@ -203,9 +196,9 @@ def mn(k):
     with np.errstate(all="ignore"):
         m = (k[R_AB] * k[L_BA]) / den_m
         n = (k[R_CD] * k[L_DC]) / den_n
-        status = _first([((den_m == 0.0) | (den_n == 0.0), MN_DENOMINATOR),
-                         (~((m > 0) & np.isfinite(m) & (n > 0) & np.isfinite(n)),
-                          MN_RANGE)])
+        status = np.where((den_m == 0.0) | (den_n == 0.0), MN_DENOMINATOR,
+                          np.where((m > 0) & np.isfinite(m) & (n > 0) & np.isfinite(n),
+                                   OK, MN_RANGE))
     return m, n, status
 
 
@@ -261,51 +254,51 @@ def pq_status(k):
         ratio = p / q
         in_range = (np.isfinite(cycle) & (cycle > 0.0)
                     & np.isfinite(ratio) & (ratio > 0.0))
-        return ratio, _first([(~in_range, PQ_RANGE),
-                              (~(np.abs(np.log(cycle)) <= 1e-9), UNREDUCED)])
+        return ratio, np.where(in_range, np.where(np.abs(np.log(cycle)) <= 1e-9,
+                                                  OK, UNREDUCED), PQ_RANGE)
+
+
+# The regime rules: one line per force category, one column per pair of
+# "against" bits (neither current, J_N^r, J_E^r, both); "!" marks
+# SECOND_LAW, a combination that would make the entropy production negative.
+_RULES_TEXT = """
+equilibrium     Equilibrium  Equilibrium          Equilibrium        Equilibrium
+parallel        Normal       IccParticle          IccEnergy          IccEnergy!
+only_F_E_zero   Normal       Normal!              PseudoIccEnergy    PseudoIccEnergy!
+only_F_N_zero   Normal       PseudoIccParticle    Normal!            PseudoIccParticle!
+anti_parallel   Normal       CrossEffectParticle  CrossEffectEnergy  CrossEffectEnergy!
+"""
+# (regime code, status) at row 4 * category + 2 * against_e + against_n
+_RULES = np.array([(REGIMES.index(Regime(cell.rstrip("!"))),
+                    SECOND_LAW if cell.endswith("!") else OK)
+                   for line in _RULES_TEXT.strip().splitlines()
+                   for cell in line.split()[1:]]).T
 
 
 def classify(f_e, f_n, j_e, j_n, tol_sign):
     """Regime codes (indices into REGIMES) and status from the two forces and
-    their conjugate right-lead currents.
+    their conjugate right-lead currents, read from the rules table.
 
-    ``tol_sign`` separates numerically zero currents from genuine signals;
-    a force counts as zero within TOL_FORCE.  The status is
-    ZERO_FORCE for zero forces carrying a current and SECOND_LAW for
-    combinations that would make the entropy production rate negative.
+    A force counts as zero within TOL_FORCE.  A current runs against when
+    sign * J < -tol_sign, where sign is +1 if its conjugate force is
+    positive and -1 if not, taken from the other force where its own is
+    zero.  Beyond the table's SECOND_LAW, the status is ZERO_FORCE for zero
+    forces carrying a current above ``tol_sign``.
     """
     f_e, f_n, j_e, j_n = (np.asarray(v, dtype=float) for v in (f_e, f_n, j_e, j_n))
     fe_zero = np.abs(f_e) <= TOL_FORCE
     fn_zero = np.abs(f_n) <= TOL_FORCE
     sign_e = np.where(f_e > 0, 1.0, -1.0)
     sign_n = np.where(f_n > 0, 1.0, -1.0)
-    equilibrium = fe_zero & fn_zero
-    only_fe_zero = fe_zero & ~fn_zero
-    only_fn_zero = fn_zero & ~fe_zero
-    both = ~fe_zero & ~fn_zero
-    parallel = both & ((f_e > 0) == (f_n > 0))
-    anti = both & ~parallel
-    # parallel forces share one sign, so each current is judged against it
-    against_e = sign_e * j_e < -tol_sign
-    against_n = sign_n * j_n < -tol_sign
-    cross_e = j_e * f_e < -tol_sign * np.abs(f_e)
-    cross_n = j_n * f_n < -tol_sign * np.abs(f_n)
+    # the line of the rules table: equilibrium 0, parallel 1, only F_E
+    # zero 2, only F_N zero 3, anti-parallel 4
+    category = np.where(fe_zero, 2 * ~fn_zero,
+                        np.where(fn_zero, 3, np.where(sign_e == sign_n, 1, 4)))
+    against_e = np.where(fe_zero, sign_n, sign_e) * j_e < -tol_sign
+    against_n = np.where(fn_zero, sign_e, sign_n) * j_n < -tol_sign
+    regime, status = _RULES[:, 4 * category + 2 * against_e + against_n]
     current = (np.abs(j_e) > tol_sign) | (np.abs(j_n) > tol_sign)
-    status = _first([
-        (equilibrium & current, ZERO_FORCE),
-        ((parallel & against_e & against_n) | (only_fe_zero & against_n)
-         | (only_fn_zero & against_e) | (anti & cross_e & cross_n), SECOND_LAW),
-    ])
-    regime = _first([
-        (equilibrium, _CODE[Regime.EQUILIBRIUM]),
-        (parallel & against_e, _CODE[Regime.ICC_ENERGY]),
-        (parallel & against_n, _CODE[Regime.ICC_PARTICLE]),
-        (only_fe_zero & (sign_n * j_e < -tol_sign), _CODE[Regime.PSEUDO_ICC_ENERGY]),
-        (only_fn_zero & (sign_e * j_n < -tol_sign), _CODE[Regime.PSEUDO_ICC_PARTICLE]),
-        (anti & cross_e, _CODE[Regime.CROSS_EFFECT_ENERGY]),
-        (anti & cross_n, _CODE[Regime.CROSS_EFFECT_PARTICLE]),
-    ], _CODE[Regime.NORMAL])
-    return regime, status
+    return regime, np.where((category == 0) & current, ZERO_FORCE, status)
 
 
 def merit(beta_l, beta_r, j_e_r, j_n_r, f_e_r, f_n_r):
@@ -365,9 +358,7 @@ def evaluate(sys: SystemParams, beta, mu, gamma, tol_sign: float = 1e-10) -> Bat
     and figures of merit are produced only where the upper-lead energy bias
     vanishes (|f_e_u| <= TOL_FORCE).
     """
-    bath = np.array(np.broadcast_arrays(*beta, *mu, *gamma), dtype=float)
-    if bath.ndim == 1:
-        bath = bath[:, None]
+    bath = np.array(np.broadcast_arrays(*beta, *mu, *gamma), dtype=float).reshape(9, -1)
     beta, mu, gamma = bath[0:3], bath[3:6], bath[6:9]
 
     with np.errstate(all="ignore"):
@@ -393,8 +384,8 @@ def evaluate(sys: SystemParams, beta, mu, gamma, tol_sign: float = 1e-10) -> Bat
         ratio = np.where(reduced, ratio, np.nan)
 
         cop, eta = merit(beta[0], beta[1], cur[1], cur[4], f[1], f[2])
-        cop = np.where(regime == _CODE[Regime.ICC_ENERGY], cop, np.nan)
-        eta = np.where(regime == _CODE[Regime.ICC_PARTICLE], eta, np.nan)
+        cop = np.where(regime == REGIMES.index(Regime.ICC_ENERGY), cop, np.nan)
+        eta = np.where(regime == REGIMES.index(Regime.ICC_PARTICLE), eta, np.nan)
         res_j_e = cur[0] + cur[1] + cur[2]
         res_j_n = cur[3] + cur[4] + cur[5]
 
@@ -402,15 +393,14 @@ def evaluate(sys: SystemParams, beta, mu, gamma, tol_sign: float = 1e-10) -> Bat
                      | ~np.isfinite(np.array((gamma_cw, x, y, m, n, sigma_macro, micro,
                                               res_j_e, res_j_n))).all(axis=0)
                      | np.isinf(cop) | np.isinf(eta))
-        status = _first([
-            (bad_baths, BAD_BATHS),
-            (bad_rates, BAD_RATES),
-            *((code != OK, code) for code in (ss_status, xy_status, mn_status,
-                                              macro_status, log_domain(k, rho))),
-            (reduced & (pq_codes != OK), pq_codes),
-            (reduced & (cls_codes != OK), cls_codes),
-            (nonfinite, NONFINITE),
-        ])
+        # each row's status is its first failing gate in pipeline order
+        codes = np.array((np.where(bad_baths, BAD_BATHS, OK),
+                          np.where(bad_rates, BAD_RATES, OK),
+                          ss_status, xy_status, mn_status, macro_status,
+                          log_domain(k, rho), np.where(reduced, pq_codes, OK),
+                          np.where(reduced, cls_codes, OK),
+                          np.where(nonfinite, NONFINITE, OK)))
+        status = np.choose((codes != OK).argmax(axis=0), codes)
 
     return Batch(status=status, k=k, rho=rho, gamma_cw=gamma_cw, legs=legs,
                  forces=f, currents=cur, x=x, y=y, m=m, n=n, pq=ratio,

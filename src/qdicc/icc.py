@@ -68,14 +68,16 @@ def invert_forces(f_e: float, f_n: float, beta_r: float,
     """Bath parameters (beta, mu_l) realizing given forces in the two-force setup.
 
     beta = beta_r + f_e and mu_l = (beta_r mu_r - f_n) / beta; composing
-    with the macroscopic force formulas round-trips exactly.
+    with the macroscopic force formulas round-trips exactly.  A mu_l that
+    overflows is left infinite, for the engine's BAD_BATHS gate to mark.
     """
     beta = beta_r + f_e
     if beta <= 0:
         raise ValueError(
             f"force f_e={f_e} needs beta_r > {-f_e} to keep beta positive"
         )
-    mu_l = (beta_r * mu_r - f_n) / beta
+    with np.errstate(over="ignore"):
+        mu_l = (beta_r * mu_r - f_n) / beta
     return beta, mu_l
 
 
@@ -118,10 +120,11 @@ def classify(fs: ForceSet, cs: CurrentSet, tol_sign: float = 1e-10) -> Regime:
     """Assign a regime label from the two-force set and right-lead currents.
 
     ``tol_sign`` separates numerically zero currents from genuine signals;
-    a force counts as zero within :data:`qdicc.engine.TOL_FORCE`.  Both
-    quadrants of parallel forces are handled by sign mirroring;
-    anti-parallel quadrants map to the cross effects.  Combinations that would make the entropy
-    production rate negative raise :class:`SecondLawViolationError`.
+    a force counts as zero within :data:`qdicc.engine.TOL_FORCE`.  A 1-point
+    view of :func:`qdicc.engine.classify`, which reads the label from one
+    table of force categories and current signs in all four quadrants.
+    Combinations that would make the entropy production rate negative raise
+    :class:`SecondLawViolationError`.
     """
     code, status = engine.classify(fs.f_e_r, fs.f_n_r, cs.j_e_r, cs.j_n_r, tol_sign)
     engine.raise_for_status(status)

@@ -204,6 +204,51 @@ class TestSweep:
         main([command, "--config", cfg, "--out", str(parallel), "--threads", "2"])
         assert serial.read_bytes() == parallel.read_bytes()
 
+    def test_threads_capped_at_lines_and_cpus(self, tmp_path, monkeypatch):
+        # a process pool starts every worker it is given; the fake pool
+        # records how many it was asked for and maps serially
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Pool)
+        cfg = write(tmp_path, "sweep.cfg", SWEEP_CONFIG)
+        serial, capped = tmp_path / "serial.csv", tmp_path / "capped.csv"
+        main(["sweep", "--config", cfg, "--out", str(serial)])
+        for cpus in (64, 3):
+            monkeypatch.setattr("os.cpu_count", lambda cpus=cpus: cpus)
+            main(["sweep", "--config", cfg, "--out", str(capped), "--threads", "100000"])
+            assert capped.read_bytes() == serial.read_bytes()
+        assert sizes == [7, 3]  # 7 F_E lines, then 3 CPUs
+
+    def test_overflowing_mu_l_fails_its_line(self, tmp_path):
+        # beta_r = 5e-324 keeps beta_r + F_E positive at F_E = 0, where
+        # mu_l = (beta_r mu_r - F_N) / beta overflows: that line's cells
+        # fail, and no numpy warning escapes
+        text = SWEEP_CONFIG.replace("F_E_min = 0.1", "F_E_min = 0")
+        text = text.replace(f"beta_r = {BETA_R}", "beta_r = 5e-324")
+        cfg = write(tmp_path, "tiny.cfg", text)
+        csv, grid = tmp_path / "sweep.csv", tmp_path / "map.txt"
+        assert main(["sweep", "--config", cfg, "--out", str(csv)]) == 0
+        assert main(["classify-map", "--config", cfg, "--out", str(grid)]) == 0
+        rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
+        assert len(rows) == 7 * 5
+        assert all(float(r[0]) == 0.0 and r[-1] != "ok" for r in rows[:5])
+        grid_rows = [ln for ln in grid.read_text().splitlines() if not ln.startswith("#")]
+        assert [len(row) for row in grid_rows] == [5] * 7
+        assert grid_rows[0] == "!!!!!"
+
     def test_sweep_requires_axes(self, tmp_path):
         cfg = write(tmp_path, "bad.cfg", POINT_CONFIG)
         assert main(["sweep", "--config", cfg]) == 2

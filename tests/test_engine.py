@@ -186,13 +186,100 @@ def test_each_gate_message_is_written_once():
         assert sum(message in text for text in strings) == 1, message
 
 
+def classify_oracle(f_e, f_n, j_e, j_n, tol):
+    """(regime, status) of one point by the regime rules written out case by
+    case, independent of the engine's rules table.  Each current is judged
+    against the sign of its conjugate force, or of the other force where its
+    own is zero, in every quadrant."""
+    fe_zero = abs(f_e) <= engine.TOL_FORCE
+    fn_zero = abs(f_n) <= engine.TOL_FORCE
+    if fe_zero and fn_zero:
+        current = abs(j_e) > tol or abs(j_n) > tol
+        return engine.Regime.EQUILIBRIUM, engine.ZERO_FORCE if current else engine.OK
+    sign_e = 1.0 if f_e > 0 else -1.0
+    sign_n = 1.0 if f_n > 0 else -1.0
+    if fe_zero:
+        # only F_N drives: J_E^r against it is the energy precursor, J_N^r
+        # against it breaks the second law
+        pseudo = sign_n * j_e < -tol
+        regime = engine.Regime.PSEUDO_ICC_ENERGY if pseudo else engine.Regime.NORMAL
+        second_law = sign_n * j_n < -tol
+    elif fn_zero:
+        pseudo = sign_e * j_n < -tol
+        regime = engine.Regime.PSEUDO_ICC_PARTICLE if pseudo else engine.Regime.NORMAL
+        second_law = sign_e * j_e < -tol
+    else:
+        against_e = sign_e * j_e < -tol
+        against_n = sign_n * j_n < -tol
+        if sign_e == sign_n:
+            energy, particle = engine.Regime.ICC_ENERGY, engine.Regime.ICC_PARTICLE
+        else:
+            energy = engine.Regime.CROSS_EFFECT_ENERGY
+            particle = engine.Regime.CROSS_EFFECT_PARTICLE
+        if against_e:
+            regime = energy
+        elif against_n:
+            regime = particle
+        else:
+            regime = engine.Regime.NORMAL
+        second_law = against_e and against_n
+    return regime, engine.SECOND_LAW if second_law else engine.OK
+
+
+TOL_SIGN = 1e-10
+# forces and currents at the two tolerances' edges, and random ones at
+# scales from below TOL_FORCE to far above tol_sign
+EDGES = (0.0, engine.TOL_FORCE, 2 * engine.TOL_FORCE, TOL_SIGN,
+         np.nextafter(TOL_SIGN, np.inf), np.nextafter(TOL_SIGN, 0.0))
+EDGE_OR_RANDOM = st.one_of(
+    st.sampled_from(EDGES + tuple(-v for v in EDGES)),
+    st.builds(lambda x, scale: x * 10.0 ** scale,
+              st.floats(-3.0, 3.0), st.integers(-13, 2)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(EDGE_OR_RANDOM, EDGE_OR_RANDOM, EDGE_OR_RANDOM, EDGE_OR_RANDOM),
+                min_size=1, max_size=40))
+def test_classify_matches_the_case_by_case_rules(rows):
+    regime, status = engine.classify(*np.array(rows).T, TOL_SIGN)
+    for row, code, state in zip(rows, regime, status):
+        assert (engine.REGIMES[code], state) == classify_oracle(*row, TOL_SIGN), row
+
+
+def test_classify_matches_the_case_by_case_rules_on_the_edge_grid():
+    # every combination of edge values, with forces well inside each quadrant
+    values = sorted(set(EDGES + tuple(-v for v in EDGES) + (0.3, -0.3, 0.7, -0.7)))
+    rows = np.array(np.meshgrid(values, values, values, values)).reshape(4, -1)
+    regime, status = engine.classify(*rows, TOL_SIGN)
+    for row, code, state in zip(rows.T.tolist(), regime.tolist(), status.tolist()):
+        assert (engine.REGIMES[code], state) == classify_oracle(*row, TOL_SIGN), row
+
+
+def test_anti_parallel_currents_use_the_sign_rule():
+    # J_N^r one ulp beyond tol_sign against its force: j * f rounds to
+    # -tol_sign * |f| exactly, so a rule on that product would call it Normal
+    j = np.nextafter(TOL_SIGN, np.inf)
+    regime, status = engine.classify(-0.3, 0.7, 0.0, -j, TOL_SIGN)
+    assert (engine.REGIMES[regime], status) == (engine.Regime.CROSS_EFFECT_PARTICLE, engine.OK)
+    # the parallel mirror, J_E^r against two positive forces
+    regime, status = engine.classify(0.3, 0.7, -j, 0.0, TOL_SIGN)
+    assert (engine.REGIMES[regime], status) == (engine.Regime.ICC_ENERGY, engine.OK)
+
+
+# forces on the axes, at the origin and just inside TOL_FORCE, besides the
+# four quadrants of the plane
+AXIS = st.sampled_from((0.0, 1e-13, -1e-13))
+
+
 @pytest.mark.filterwarnings("ignore:eps_b \\+ kappa = 0")
 @settings(max_examples=60, deadline=None)
-@given(points=st.lists(st.tuples(st.floats(0.02, 2.0), st.floats(0.02, 2.0)),
+@given(points=st.lists(st.tuples(st.one_of(AXIS, st.floats(-0.9, 2.0)),
+                                 st.one_of(AXIS, st.floats(-2.0, 2.0))),
                        min_size=1, max_size=12),
        kappa=st.floats(-2.0, 2.0))
 def test_plane_box_properties(points, kappa):
-    """Conservation, second law and macro = micro over the whole force box."""
+    """Conservation, second law and macro = micro over the whole force box,
+    and inverse currents only with the level swap eps_b + kappa < 0."""
     sys = SystemParams(eps_b=EPS_B, eps_u=EPS_U, kappa=kappa)
     f_e = np.array([p[0] for p in points])
     f_n = np.array([p[1] for p in points])
@@ -207,3 +294,6 @@ def test_plane_box_properties(points, kappa):
     assert batch.sigma_macro.min() >= -1e-12
     assert batch.sigma_micro.min() >= -1e-12
     assert np.abs(batch.sigma_macro - batch.sigma_micro).max() < 1e-10
+    inverse = [engine.REGIMES.index(engine.Regime.ICC_ENERGY),
+               engine.REGIMES.index(engine.Regime.ICC_PARTICLE)]
+    assert EPS_B + kappa < 0 or not np.isin(batch.regime, inverse).any()
