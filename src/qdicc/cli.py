@@ -26,6 +26,10 @@ from .icc import analyze_point  # noqa: F401
 # unclassified cell
 MAP_CODES = "0.xyenEN!"
 
+# grid points per engine call at most (unless one F_E line holds more):
+# bounds the arrays of a block on large grids
+_BLOCK_POINTS = 4096
+
 
 def _worker_count(text: str) -> int:
     """argparse type of --threads: an integer of at least 1."""
@@ -73,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _solve_record(cfg: dict, tol_sign: float) -> tuple[str, ...]:
+def _solve_record(cfg: dict, tol_sign: float) -> list[str]:
     axis_keys = [k for k in cfg if k.endswith(("_min", "_max", "_steps"))]
     if axis_keys:
         raise ConfigError(
@@ -91,56 +95,63 @@ def _solve_record(cfg: dict, tol_sign: float) -> tuple[str, ...]:
     engine.raise_for_status(batch.status[0])
     if raw:
         f_e, f_n = batch.forces[1:, 0]
-    return record_fields(f_e, f_n, beta, mu_l, batch)[0]
+    return record_fields(f_e, f_n, beta, mu_l, batch)[0].split(",")
 
 
-def _line_batch(payload):
-    """One engine call over one F_E grid line: ``(f_e, f_n, beta, mu_l,
-    batch)``.  ``build_sweep_spec`` has checked the line's baths, so every
-    failure is a batch row's status."""
-    sys_params, cfg, tol_sign, f_e, f_n_values = payload
-    f_n = np.asarray(f_n_values, dtype=float)
+def _block_batch(payload):
+    """One engine call over a block of consecutive F_E grid lines, in
+    row-major order: ``(f_e, f_n, beta, mu_l, batch)``.  ``build_sweep_spec``
+    has checked the block's baths, so every failure is a batch row's
+    status."""
+    sys_params, cfg, tol_sign, f_e_values, f_n_values = payload
+    f_e = np.repeat(f_e_values, len(f_n_values))
+    f_n = np.tile(f_n_values, len(f_e_values))
     baths, beta, mu_l = point_baths(cfg, f_e, f_n)
     return f_e, f_n, beta, mu_l, engine.evaluate(sys_params, *baths, tol_sign=tol_sign)
 
 
-def _sweep_row(payload) -> list[tuple[str, ...]]:
-    """All CSV records of one F_E grid line; importable so workers can
-    pickle it."""
-    return record_fields(*_line_batch(payload))
+def _sweep_row(payload) -> list[str]:
+    """The CSV lines of one block of F_E grid lines; importable so workers
+    can pickle it."""
+    return record_fields(*_block_batch(payload))
 
 
-def _map_row(payload) -> str:
-    """One F_E grid line's map row, read off the engine's status and regime
-    codes; importable so workers can pickle it."""
-    batch = _line_batch(payload)[-1]
+def _map_row(payload) -> list[str]:
+    """The map rows of one block of F_E grid lines, read off the engine's
+    status and regime codes; importable so workers can pickle it."""
+    batch = _block_batch(payload)[-1]
     codes = np.where(batch.status == engine.OK, batch.regime, -1)
-    return "".join([MAP_CODES[c] for c in codes.tolist()])
+    cells = "".join([MAP_CODES[c] for c in codes.tolist()])
+    width = len(payload[-1])
+    return [cells[i:i + width] for i in range(0, len(cells), width)]
 
 
-def _iter_lines(cfg: dict, tol_sign: float, threads: int, line):
+def _iter_lines(cfg: dict, tol_sign: float, threads: int, render):
     """Validate the sweep once, then return its spec and an iterator over
-    ``line(payload)`` for each F_E grid line in order; a bad config raises
-    here, before any output."""
+    the output lines that ``render(payload)`` gives for each block of F_E
+    grid lines, in grid order; a bad config raises here, before any
+    output."""
     spec = build_sweep_spec(cfg)
     sys_params = build_system(cfg)
-    f_n_values = tuple(float(v) for v in spec.f_n_values())
-    payloads = [(sys_params, cfg, tol_sign, float(f_e), f_n_values)
-                for f_e in spec.f_e_values()]
+    f_e_values, f_n_values = spec.f_e_values(), spec.f_n_values()
 
     # a pool starts every worker it is given: no more than lines or CPUs
-    workers = min(threads, len(payloads), os.cpu_count() or 1)
+    workers = min(threads, spec.f_e_steps, os.cpu_count() or 1)
+    # lines per block: a bounded engine call, and a block for every worker
+    size = max(1, min(_BLOCK_POINTS // spec.f_n_steps, -(-spec.f_e_steps // workers)))
+    payloads = [(sys_params, cfg, tol_sign, f_e_values[i:i + size], f_n_values)
+                for i in range(0, spec.f_e_steps, size)]
 
-    def lines():
+    def blocks():
         if workers > 1:
             # imported here: the pool machinery costs every CLI start ~20 ms
             from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                yield from pool.map(line, payloads)
+                yield from pool.map(render, payloads)
         else:
-            yield from map(line, payloads)
+            yield from map(render, payloads)
 
-    return spec, lines()
+    return spec, chain.from_iterable(blocks())
 
 
 def _write_lines(out: str, lines) -> None:
@@ -162,9 +173,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    _spec, lines = _iter_lines(cfg, args.tol_sign, args.threads, _sweep_row)
-    rows = chain.from_iterable(lines)
-    _write_lines(args.out, chain([",".join(COLUMNS)], map(",".join, rows)))
+    _spec, rows = _iter_lines(cfg, args.tol_sign, args.threads, _sweep_row)
+    _write_lines(args.out, chain([",".join(COLUMNS)], rows))
     return 0
 
 

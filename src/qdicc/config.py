@@ -99,6 +99,8 @@ def load_config(path: str) -> dict:
             return parse_config_text(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:  # a ValueError, not a physics precondition
+        raise ConfigError(f"config {path!r} is not UTF-8 text: {exc}") from exc
 
 
 def _require(cfg: dict, *keys: str) -> None:
@@ -126,15 +128,16 @@ def _leads(cfg: dict) -> tuple[float, float, float, float]:
     return cfg["beta_r"], cfg["mu_r"], cfg.get("mu_u", cfg["mu_r"]), cfg.get("gamma", 1.0)
 
 
-def point_baths(cfg: dict, f_e: float, f_n):
+def point_baths(cfg: dict, f_e, f_n):
     """Baths realizing forces (f_e, f_n) in the configured setup.
 
     Returns the (l, r, u) triples of beta, mu and gamma that
-    :func:`qdicc.engine.evaluate` takes, the derived beta and mu_l; ``f_n``
-    is a scalar or an array over one F_E line, and mu_l follows its shape.
-    The derived beta is beta_l = beta_u for the two-force setup and beta_u
-    for the thermoelectric one; a derived beta that is not positive raises
-    ValueError.  The engine's BAD_BATHS gate checks everything else.
+    :func:`qdicc.engine.evaluate` takes, the derived beta and mu_l; ``f_e``
+    and ``f_n`` are scalars or arrays over the same grid points, and beta
+    and mu_l follow their shapes.  The derived beta is beta_l = beta_u for
+    the two-force setup and beta_u for the thermoelectric one; a derived
+    beta that is not positive raises ValueError naming the first such
+    force.  The engine's BAD_BATHS gate checks everything else.
     """
     beta_r, mu_r, mu_u, gamma = _leads(cfg)
     setup = cfg["setup"]
@@ -143,7 +146,8 @@ def point_baths(cfg: dict, f_e: float, f_n):
         betas = (beta, beta_r, beta)
     elif setup == "thermoelectric":
         beta = beta_r - f_e
-        if beta <= 0:
+        if np.any(beta <= 0):
+            f_e = np.broadcast_to(f_e, np.shape(beta))[np.asarray(beta) <= 0][0]
             raise ValueError(
                 f"force F_E={f_e} needs beta_r > {f_e} to keep beta_u positive"
             )
@@ -217,40 +221,41 @@ STATUS_WORDS = {OK: "ok", **{
     code: "error:numerical" if issubclass(cls, NumericalError) else "error:precondition"
     for code, (cls, _msg) in ERRORS.items()}}
 
-# a failed row keeps its forces and status; every other cell stays empty
-_EMPTY = ("",) * (len(COLUMNS) - 3)
+# one %-template per row in COLUMNS order: an ok row's float cells, the
+# optional PQ, regime, cop and eta cells as preformatted strings; a failed
+# row keeps its forces and status, with every other cell empty
+_OK_ROW = ",".join(["%.16e"] * 18 + ["%s"] + ["%.16e"] * 2 + ["%s"] * 3
+                   + ["%.16e"] * 2 + [STATUS_WORDS[OK]])
+_FAILED_ROW = "%.16e,%.16e" + "," * (len(COLUMNS) - 2) + "%s"
+
+# the regime column's word for each engine regime code; -1 (not two-force
+# reduced) reads the last entry, an empty cell
+_REGIME_WORDS = [r.value for r in REGIMES] + [""]
 
 
-def record_fields(f_e: float, f_n, beta, mu_l, batch: Batch) -> list[tuple[str, ...]]:
-    """The rows of one F_E line in COLUMNS order, one per batch point.
+def _optional(values: np.ndarray) -> list[str]:
+    """%.16e cells, left empty where NaN marks a value the batch leaves
+    undefined."""
+    return ["" if v != v else "%.16e" % v for v in values.tolist()]
 
-    ``f_n`` and the derived bath parameters ``beta`` and ``mu_l`` of
-    :func:`point_baths` broadcast to the batch.  Every row comes from a
+
+def record_fields(f_e, f_n, beta, mu_l, batch: Batch) -> list[str]:
+    """The CSV lines of a batch in COLUMNS order, one per batch point.
+
+    ``f_e``, ``f_n`` and the derived bath parameters ``beta`` and ``mu_l``
+    of :func:`point_baths` broadcast to the batch.  Every row comes from a
     batch point: one that failed a gate keeps its forces and the
     :data:`STATUS_WORDS` word of its status, with every other cell empty.
     """
-    fmt = "{:.16e}".format
-    f_e_cell = fmt(f_e)
-
-    def optional(value):  # NaN marks a cell the batch leaves undefined
-        return "" if value != value else fmt(value)
-
     shape = batch.status.shape
     cells = np.vstack((
-        np.broadcast_to(f_n, shape), np.broadcast_to(beta, shape),
-        np.broadcast_to(mu_l, shape), batch.currents, batch.gamma_cw, batch.x,
-        batch.y, batch.m, batch.n, batch.pq, batch.sigma_macro, batch.sigma_micro,
-        batch.cop, batch.eta, batch.res_j_e, batch.res_j_n,
-    )).T.tolist()
-    rows = []
-    for code, regime, v in zip(batch.status.tolist(), batch.regime.tolist(), cells):
-        if code:
-            rows.append((f_e_cell, fmt(v[0]), *_EMPTY, STATUS_WORDS[code]))
-            continue
-        rows.append((
-            f_e_cell, *map(fmt, v[:17]), optional(v[17]), fmt(v[18]),
-            fmt(v[19]), REGIMES[regime].value if regime >= 0 else "",
-            optional(v[20]), optional(v[21]), fmt(v[22]), fmt(v[23]),
-            STATUS_WORDS[code],
-        ))
-    return rows
+        np.broadcast_to(f_e, shape), np.broadcast_to(f_n, shape),
+        np.broadcast_to(beta, shape), np.broadcast_to(mu_l, shape),
+        batch.currents, batch.gamma_cw, batch.x, batch.y, batch.m, batch.n,
+        batch.sigma_macro, batch.sigma_micro, batch.res_j_e, batch.res_j_n,
+    )).tolist()
+    rows = zip(*cells[:18], _optional(batch.pq), *cells[18:20],
+               [_REGIME_WORDS[r] for r in batch.regime.tolist()],
+               _optional(batch.cop), _optional(batch.eta), *cells[20:])
+    return [_FAILED_ROW % (row[0], row[1], STATUS_WORDS[code]) if code else _OK_ROW % row
+            for code, row in zip(batch.status.tolist(), rows)]

@@ -63,16 +63,18 @@ def thermoelectric_reduction(beta: float, beta_u: float, mu_l: float,
     )
 
 
-def invert_forces(f_e: float, f_n: float, beta_r: float,
-                  mu_r: float) -> tuple[float, float]:
+def invert_forces(f_e, f_n, beta_r: float, mu_r: float):
     """Bath parameters (beta, mu_l) realizing given forces in the two-force setup.
 
     beta = beta_r + f_e and mu_l = (beta_r mu_r - f_n) / beta; composing
-    with the macroscopic force formulas round-trips exactly.  A mu_l that
-    overflows is left infinite, for the engine's BAD_BATHS gate to mark.
+    with the macroscopic force formulas round-trips exactly.  ``f_e`` and
+    ``f_n`` are scalars or arrays, and a beta that is not positive raises
+    ValueError naming the first such force.  A mu_l that overflows is left
+    infinite, for the engine's BAD_BATHS gate to mark.
     """
     beta = beta_r + f_e
-    if beta <= 0:
+    if np.any(beta <= 0):
+        f_e = np.broadcast_to(f_e, np.shape(beta))[np.asarray(beta) <= 0][0]
         raise ValueError(
             f"force f_e={f_e} needs beta_r > {-f_e} to keep beta positive"
         )

@@ -204,6 +204,28 @@ class TestSweep:
         main([command, "--config", cfg, "--out", str(parallel), "--threads", "2"])
         assert serial.read_bytes() == parallel.read_bytes()
 
+    @settings(max_examples=8, deadline=None)
+    @given(f_e_steps=st.integers(2, 9), f_n_steps=st.integers(2, 7),
+           f_e=st.lists(st.floats(-0.9, 2.0), min_size=2, max_size=2),
+           f_n=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=2))
+    def test_threads_do_not_change_bytes_on_random_grids(self, tmp_path_factory, f_e_steps,
+                                                         f_n_steps, f_e, f_n):
+        # --threads 1 renders the grid as one block, --threads 2 as two blocks
+        # in two worker processes; both signs of both forces are reachable
+        text = SWEEP_CONFIG
+        for key, value in (("F_E_min", f_e[0]), ("F_E_max", f_e[1]), ("F_E_steps", f_e_steps),
+                           ("F_N_min", f_n[0]), ("F_N_max", f_n[1]), ("F_N_steps", f_n_steps)):
+            line = next(ln for ln in text.splitlines() if ln.startswith(key + " "))
+            text = text.replace(line, f"{key} = {value!r}")
+        tmp = tmp_path_factory.mktemp("grid")
+        cfg = write(tmp, "grid.cfg", text)
+        for command in ("sweep", "classify-map"):
+            serial, parallel = tmp / f"{command}.1", tmp / f"{command}.2"
+            assert main([command, "--config", cfg, "--out", str(serial)]) == 0
+            assert main([command, "--config", cfg, "--out", str(parallel),
+                         "--threads", "2"]) == 0
+            assert serial.read_bytes() == parallel.read_bytes()
+
     def test_threads_capped_at_lines_and_cpus(self, tmp_path, monkeypatch):
         # a process pool starts every worker it is given; the fake pool
         # records how many it was asked for and maps serially
@@ -284,12 +306,14 @@ class TestSweep:
         del cfg["F_E"], cfg["F_N"]
         # the Fermi-tail cell of test_fermi_tail_cell_gets_a_typed_status
         # fails an engine gate
-        rows = _sweep_row((build_system(cfg), cfg, 1e-10, -0.99, (-711.86,)))
-        assert len(rows) == 1
-        assert rows[0][-1] == "error:precondition"
-        assert rows[0][4] == ""  # currents left empty
-        assert len(rows[0]) == len(COLUMNS)
-        assert rows[0][2:-1] == ("",) * (len(COLUMNS) - 3)  # forces and status only
+        lines = _sweep_row((build_system(cfg), cfg, 1e-10, np.array([-0.99]),
+                            np.array([-711.86])))
+        assert len(lines) == 1
+        row = lines[0].split(",")
+        assert row[-1] == "error:precondition"
+        assert row[4] == ""  # currents left empty
+        assert len(row) == len(COLUMNS)
+        assert row[2:-1] == [""] * (len(COLUMNS) - 3)  # forces and status only
 
     def test_solve_prints_the_sweep_row(self, tmp_path, capsys):
         # solve and a sweep line share one engine call shape and one row
@@ -429,6 +453,16 @@ class TestExitCodes:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["solve", "--config", str(tmp_path / "nope.cfg")]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        # a decoding error is a ValueError, but a config error, not a
+        # physics precondition
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(POINT_CONFIG.encode("utf-8") + b"# \xff\n")
+        for command in ("solve", "sweep", "classify-map"):
+            assert main([command, "--config", str(cfg)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and err.count("\n") == 1
 
     def test_unknown_key(self, tmp_path, capsys):
         cfg = write(tmp_path, "bad.cfg", "bogus = 1")

@@ -32,7 +32,8 @@ def evaluate_baths(sys, baths_list, **kwargs):
 
 
 def plane_line(sys, f_e, f_n, mu_u=MU_U):
-    """Engine call over one F_E line of the two-force plane."""
+    """Engine call over points of the two-force plane: one F_E line, or
+    F_E and F_N arrays of the same points."""
     beta, mu_l = invert_forces(f_e, np.asarray(f_n, dtype=float), BETA_R, MU_R)
     return engine.evaluate(sys, (beta, BETA_R, beta), (mu_l, MU_R, mu_u),
                            (1.0, 1.0, 1.0))
@@ -88,6 +89,21 @@ class TestSpanningTree:
                 row = getattr(batch, field.name)[..., i]
                 alone = getattr(one, field.name)[..., 0]
                 assert np.array_equal(row, alone, equal_nan=True), field.name
+
+    def test_block_of_lines_matches_per_line_batches(self):
+        # a sweep evaluates a block of F_E lines in one call; on the
+        # Fermi-tail census window, where ok and failed rows mix, every field
+        # must equal the per-line calls bit for bit
+        sys = SystemParams(eps_b=EPS_B, eps_u=EPS_U, kappa=-1.5)
+        f_e = np.linspace(-0.99, 400.0, 60)
+        f_n = np.linspace(-2000.0, 2000.0, 60)
+        block = plane_line(sys, np.repeat(f_e, f_n.size), np.tile(f_n, f_e.size))
+        lines = [plane_line(sys, value, f_n) for value in f_e]
+        for field in dataclasses.fields(engine.Batch):
+            joined = np.concatenate([getattr(b, field.name) for b in lines], axis=-1)
+            assert np.array_equal(getattr(block, field.name), joined, equal_nan=True), \
+                field.name
+        assert 0 < (block.status == engine.OK).sum() < block.status.size
 
     def test_analyze_point_is_a_view_of_the_batch(self):
         sys = SystemParams(eps_b=EPS_B, eps_u=EPS_U, kappa=-1.5)
@@ -297,3 +313,31 @@ def test_plane_box_properties(points, kappa):
     inverse = [engine.REGIMES.index(engine.Regime.ICC_ENERGY),
                engine.REGIMES.index(engine.Regime.ICC_PARTICLE)]
     assert EPS_B + kappa < 0 or not np.isin(batch.regime, inverse).any()
+
+
+def onsager_matrix(kappa, h):
+    """Linear-response matrix L at F = 0 by central differences of one
+    engine call on the four stencil points (+-h, 0), (0, +-h):
+    J_E^r ~ L[0, 0] F_E + L[0, 1] F_N, J_N^r ~ L[1, 0] F_E + L[1, 1] F_N."""
+    sys = SystemParams(eps_b=EPS_B, eps_u=EPS_U, kappa=kappa)
+    batch = plane_line(sys, np.array([h, -h, 0.0, 0.0]), np.array([0.0, 0.0, h, -h]))
+    assert (batch.status == engine.OK).all()
+    j_e, j_n = batch.currents[1], batch.currents[4]
+    return np.array([[j_e[0] - j_e[1], j_e[2] - j_e[3]],
+                     [j_n[0] - j_n[1], j_n[2] - j_n[3]]]) / (2.0 * h)
+
+
+@pytest.mark.parametrize("kappa, sign", [(-1.5, -1.0), (1.5, 1.0)])
+def test_onsager_symmetry_positivity_and_coupling_sign(kappa, sign):
+    # Onsager: L_EN = L_NE, so the central-difference asymmetry is the
+    # O(h^2) truncation error; second law: L has no negative eigenvalue;
+    # ICC cones near the origin need L_EN < 0, which the level swap
+    # eps_b + kappa < 0 gives and kappa = +1.5 does not
+    asymmetry = []
+    for h in (1e-3, 1e-4):
+        lr = onsager_matrix(kappa, h)
+        asymmetry.append(abs(lr[0, 1] - lr[1, 0]) / np.abs(lr).max())
+        eigenvalues = np.linalg.eigvals(lr)
+        assert np.isreal(eigenvalues).all() and eigenvalues.real.min() >= 0.0
+        assert np.sign(lr[0, 1]) == sign
+    assert 0.5e-2 < asymmetry[1] / asymmetry[0] < 2e-2
