@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import nullcontext
 from itertools import chain
 
 import numpy as np
@@ -25,6 +26,7 @@ from .icc import analyze_point  # noqa: F401
 # the map's code of each engine regime code; index -1 marks a failed or
 # unclassified cell
 MAP_CODES = "0.xyenEN!"
+_MAP_BYTES = np.frombuffer(MAP_CODES.encode(), np.uint8)
 
 # grid points per engine call at most (unless one F_E line holds more):
 # bounds the arrays of a block on large grids
@@ -95,7 +97,7 @@ def _solve_record(cfg: dict, tol_sign: float) -> list[str]:
     engine.raise_for_status(batch.status[0])
     if raw:
         f_e, f_n = batch.forces[1:, 0]
-    return record_fields(f_e, f_n, beta, mu_l, batch)[0].split(",")
+    return record_fields(f_e, f_n, beta, mu_l, batch).decode().rstrip("\n").split(",")
 
 
 def _block_batch(payload):
@@ -110,27 +112,25 @@ def _block_batch(payload):
     return f_e, f_n, beta, mu_l, engine.evaluate(sys_params, *baths, tol_sign=tol_sign)
 
 
-def _sweep_row(payload) -> list[str]:
-    """The CSV lines of one block of F_E grid lines; importable so workers
+def _sweep_row(payload) -> bytearray:
+    """The CSV text of one block of F_E grid lines; importable so workers
     can pickle it."""
     return record_fields(*_block_batch(payload))
 
 
-def _map_row(payload) -> list[str]:
+def _map_row(payload) -> bytes:
     """The map rows of one block of F_E grid lines, read off the engine's
     status and regime codes; importable so workers can pickle it."""
     batch = _block_batch(payload)[-1]
     codes = np.where(batch.status == engine.OK, batch.regime, -1)
-    cells = "".join([MAP_CODES[c] for c in codes.tolist()])
-    width = len(payload[-1])
-    return [cells[i:i + width] for i in range(0, len(cells), width)]
+    rows = _MAP_BYTES[codes].reshape(-1, len(payload[-1]))
+    return np.concatenate((rows, np.full((len(rows), 1), ord("\n"), np.uint8)), axis=1).tobytes()
 
 
-def _iter_lines(cfg: dict, tol_sign: float, threads: int, render):
+def _iter_blocks(cfg: dict, tol_sign: float, threads: int, render):
     """Validate the sweep once, then return its spec and an iterator over
-    the output lines that ``render(payload)`` gives for each block of F_E
-    grid lines, in grid order; a bad config raises here, before any
-    output."""
+    the text that ``render(payload)`` gives for each block of F_E grid
+    lines, in grid order; a bad config raises here, before any output."""
     spec = build_sweep_spec(cfg)
     sys_params = build_system(cfg)
     f_e_values, f_n_values = spec.f_e_values(), spec.f_n_values()
@@ -151,36 +151,38 @@ def _iter_lines(cfg: dict, tol_sign: float, threads: int, render):
         else:
             yield from map(render, payloads)
 
-    return spec, chain.from_iterable(blocks())
+    return spec, blocks()
 
 
-def _write_lines(out: str, lines) -> None:
+def _write_lines(out: str, chunks) -> None:
+    """Write each bytes chunk of ``chunks`` to ``out``, or to standard
+    output for ``-``."""
     if out == "-":
-        for line in lines:
-            sys.stdout.write(line + "\n")
-        return
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+        sys.stdout.flush()  # whatever text went before comes first
+    with nullcontext(sys.stdout.buffer) if out == "-" else open(out, "wb") as fh:
+        for chunk in chunks:
+            fh.write(chunk)
+        fh.flush()
 
 
 def _cmd_solve(args) -> int:
     cfg = load_config(args.config)
     record = _solve_record(cfg, args.tol_sign)
-    _write_lines(args.out, (f"{name} = {value}" for name, value in zip(COLUMNS, record)))
+    _write_lines(args.out, ["".join(f"{name} = {value}\n"
+                                    for name, value in zip(COLUMNS, record)).encode()])
     return 0
 
 
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    _spec, rows = _iter_lines(cfg, args.tol_sign, args.threads, _sweep_row)
-    _write_lines(args.out, chain([",".join(COLUMNS)], rows))
+    _spec, blocks = _iter_blocks(cfg, args.tol_sign, args.threads, _sweep_row)
+    _write_lines(args.out, chain([(",".join(COLUMNS) + "\n").encode()], blocks))
     return 0
 
 
 def _cmd_classify_map(args) -> int:
     cfg = load_config(args.config)
-    spec, map_rows = _iter_lines(cfg, args.tol_sign, args.threads, _map_row)
+    spec, blocks = _iter_blocks(cfg, args.tol_sign, args.threads, _map_row)
     legend = " ".join(f"{code}={name}" for name, code in
                       zip([r.value for r in engine.REGIMES] + ["error"], MAP_CODES))
     header = [
@@ -189,7 +191,7 @@ def _cmd_classify_map(args) -> int:
         f"# columns: F_N from {spec.f_n_min:g} to {spec.f_n_max:g} in {spec.f_n_steps} steps",
         f"# legend: {legend}",
     ]
-    _write_lines(args.out, chain(header, map_rows))
+    _write_lines(args.out, chain(["".join(line + "\n" for line in header).encode()], blocks))
     return 0
 
 

@@ -221,41 +221,185 @@ STATUS_WORDS = {OK: "ok", **{
     code: "error:numerical" if issubclass(cls, NumericalError) else "error:precondition"
     for code, (cls, _msg) in ERRORS.items()}}
 
-# one %-template per row in COLUMNS order: an ok row's float cells, the
-# optional PQ, regime, cop and eta cells as preformatted strings; a failed
-# row keeps its forces and status, with every other cell empty
-_OK_ROW = ",".join(["%.16e"] * 18 + ["%s"] + ["%.16e"] * 2 + ["%s"] * 3
-                   + ["%.16e"] * 2 + [STATUS_WORDS[OK]])
-_FAILED_ROW = "%.16e,%.16e" + "," * (len(COLUMNS) - 2) + "%s"
+# A block's CSV is rendered as a matrix of 4-byte words, one row per CSV
+# row: each float cell is 7 words ("[-]d." + 16 digits + "e±EE[E],"), the
+# regime cell 5 words with its comma, the status cell 5 words with the
+# newline.  Padding is NUL, and dropping every NUL byte of the matrix gives
+# the text; an empty cell is its comma alone.
+#
+# The 17 significant digits of a finite x != 0 are D = round(y) for
+# y = |x|·10^(16-E) in [10^16, 10^17).  y is computed in long double, and
+# _slack bounds its error: where y's fraction lies farther than that from
+# 1/2, round(y) is the exact D.  Every other cell, and every non-finite one,
+# is rendered by "%.16e" itself, so each cell is byte for byte "%.16e" % x.
+# Where long double is a plain double the slack exceeds 1/2, and every cell
+# takes the % path.
+_WORD = np.uint32
 
-# the regime column's word for each engine regime code; -1 (not two-force
-# reduced) reads the last entry, an empty cell
-_REGIME_WORDS = [r.value for r in REGIMES] + [""]
+# decimal exponents of finite doubles, with room for the one-step correction
+# of floor(log10|x|); every exponent table is indexed by E - _E_MIN
+_E_MIN, _E_MAX = -325, 309
+_EXPONENTS = np.arange(_E_MIN, _E_MAX + 1)
 
 
-def _optional(values: np.ndarray) -> list[str]:
-    """%.16e cells, left empty where NaN marks a value the batch leaves
-    undefined."""
-    return ["" if v != v else "%.16e" % v for v in values.tolist()]
+def _slack(info: np.finfo) -> np.ndarray:
+    """Bound on the error of y = |x|·10^(16-E) at each exponent, for y and
+    the power of ten rounded to the float type of ``info``.
+
+    Half an ulp of y < 10^17 < 2^57; plus 10^17 half-ulps of 10^(16-E)
+    where the power is not exact (negative, or 5^(16-E) wider than the
+    mantissa); plus 2^-52 for the fraction's rounding to double.  For the
+    x87 long double the first two are 2^-8 and 0.0054.
+    """
+    k = 16 - _EXPONENTS
+    exact_power = (k >= 0) & (k <= int((info.nmant + 1) / np.log2(5)))
+    eps = float(info.eps)
+    return 2.0 ** 55 * eps + np.where(exact_power, 0.0, 1e17 * eps / 2) + 2.0 ** -52
 
 
-def record_fields(f_e, f_n, beta, mu_l, batch: Batch) -> list[str]:
-    """The CSV lines of a batch in COLUMNS order, one per batch point.
+def _exponent_words() -> np.ndarray:
+    """"e±EE[E]," of each exponent, NUL-padded to 2 words: (2, exponents)."""
+    text = np.zeros((len(_EXPONENTS), 8), np.uint8)
+    size = np.abs(_EXPONENTS)
+    text[:, 0] = ord("e")
+    text[:, 1] = np.where(_EXPONENTS < 0, ord("-"), ord("+"))
+    text[:, 2] = np.where(size >= 100, size // 100 + ord("0"), 0)
+    text[:, 3] = size // 10 % 10 + ord("0")
+    text[:, 4] = size % 10 + ord("0")
+    text[:, 5] = ord(",")
+    return text.view(_WORD).T.copy()
+
+
+def _lead_words() -> np.ndarray:
+    """"[-]d." as one NUL-padded word, at 10·sign + d."""
+    text = np.zeros((2, 10, 4), np.uint8)
+    text[1, :, 0] = ord("-")
+    text[:, :, 1] = np.arange(ord("0"), ord("9") + 1)
+    text[:, :, 2] = ord(".")
+    return text.reshape(20, 4).view(_WORD)[:, 0]
+
+
+def _digit_words() -> np.ndarray:
+    """"0000" to "9999" as one word each."""
+    text = np.empty((10, 10, 10, 10, 4), np.uint8)
+    for place in range(4):
+        text[..., place] = np.arange(ord("0"), ord("9") + 1).reshape((10,) + (1,) * (3 - place))
+    return text.reshape(10_000, 4).view(_WORD)[:, 0]
+
+
+def _fixed(words: list[bytes], width: int) -> np.ndarray:
+    """Byte strings NUL-padded to ``width`` bytes, as rows of words."""
+    return np.array(words, dtype=f"S{width}").view(np.uint8).reshape(-1, width).view(_WORD)
+
+
+# 10^(16-E), parsed from text and so correctly rounded
+_SCALE = np.fromstring(" ".join([f"1e{16 - e}" for e in _EXPONENTS.tolist()]),
+                       dtype=np.longdouble, sep=" ")
+_SLACK = _slack(np.finfo(np.longdouble))
+_EXPONENT = _exponent_words()
+_LEAD = _lead_words()
+_DIGITS = _digit_words()
+_BLANK = _fixed([b","], 28)[0]
+_REGIME_CELLS = _fixed([r.value.encode() + b"," for r in REGIMES] + [b","], 20)
+_STATUS_CELLS = _fixed([STATUS_WORDS[code].encode() + b"\n"
+                        for code in range(len(STATUS_WORDS))], 20)
+
+# the float cells of a row, in COLUMNS order; the regime cell follows the
+# first _SPLIT of them
+_FLOATS = [name for name in COLUMNS if name not in ("regime", "status")]
+_SPLIT = COLUMNS.index("regime")
+_OPTIONAL = np.array([name in ("PQ", "cop", "eta") for name in _FLOATS])  # empty if NaN
+_FORCES = np.array([name in ("F_E", "F_N") for name in _FLOATS])  # kept by a failed row
+
+# rows rendered at once: bounds the renderer's temporaries at any block size
+_SUB_BLOCK = 512
+
+
+def _divmod(x: np.ndarray, unit: int):
+    """``np.divmod(x, unit)``; numpy's ``//`` by a constant is fast, its ``%``
+    is not."""
+    q = x // unit
+    return q, x - q * unit
+
+
+def _significands(v: np.ndarray):
+    """``(d, i, exact)``: the 17 significant digits D of each finite x != 0
+    of ``v`` as an integer, the table index of its exponent E, and where D
+    is exact.  Elsewhere d is 0 and i the index of E = 0, so a zero needs
+    nothing more, and every other value is left to "%.16e"."""
+    finite = np.isfinite(v) & (v != 0)
+    a = np.where(finite, np.abs(v), 1.0)
+    i = np.floor(np.log10(a)).astype(np.intp) - _E_MIN
+    # where long double is a double, 10^340 overflows and y may be inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = a * _SCALE[i]
+        whole = y.astype(np.int64)  # floor: y > 0
+        shift = (whole >= 10 ** 17).astype(np.intp) - (whole < 10 ** 16)
+        moved = np.flatnonzero(shift)  # floor(log10|x|) was one off
+        if moved.size:
+            i.flat[moved] += shift.flat[moved]
+            y.flat[moved] = a.flat[moved] * _SCALE[i.flat[moved]]
+            whole.flat[moved] = y.flat[moved].astype(np.int64)
+        frac = (y - whole).astype(np.float64)
+    exact = (finite & (whole >= 10 ** 16) & (whole < 10 ** 17)
+             & (np.abs(frac - 0.5) > _SLACK[i]))
+    d = np.where(exact, whole + (frac > 0.5), 0)
+    carry = d == 10 ** 17  # 9.99...95eE rounds to 1.0e(E+1)
+    d[carry] = 10 ** 16
+    return d, np.where(exact, i + carry, -_E_MIN), exact
+
+
+def _float_cells(v: np.ndarray, blank: np.ndarray) -> np.ndarray:
+    """The ``"%.16e,"`` cell of each value of ``v`` as 7 words, only the
+    comma where ``blank``."""
+    d, i, exact = _significands(v)
+    upper, lower = _divmod(d, 10 ** 8)  # lead digit and 8 digits, 8 digits
+    lead, high = _divmod(upper.astype(np.int32), 10 ** 8)
+    cells = np.empty(v.shape + (7,), _WORD)
+    cells[..., 0] = _LEAD[10 * np.signbit(v) + lead]
+    groups = (*_divmod(high, 10_000), *_divmod(lower.astype(np.int32), 10_000))
+    for word, group in enumerate(groups, 1):
+        cells[..., word] = _DIGITS[group]
+    cells[..., 5], cells[..., 6] = _EXPONENT[0][i], _EXPONENT[1][i]
+    cells[blank] = _BLANK
+    slow = ~(exact | blank | (v == 0))
+    if slow.any():
+        text = np.frombuffer((("%-27.16e," * np.count_nonzero(slow)) %
+                              tuple(v[slow].tolist())).encode(), np.uint8)
+        cells[slow] = np.where(text == ord(" "), 0, text).astype(np.uint8).view(_WORD).reshape(-1, 7)
+    return cells
+
+
+def _render(v: np.ndarray, regime: np.ndarray, status: np.ndarray) -> bytes:
+    """The CSV text of rows with float cells ``v`` (rows, len(_FLOATS))."""
+    ok = status == OK
+    blank = ~(ok[:, None] | _FORCES) | _OPTIONAL & np.isnan(v)
+    cells = _float_cells(v, blank).reshape(len(v), -1)
+    split = 7 * _SPLIT
+    words = np.concatenate((cells[:, :split], _REGIME_CELLS[np.where(ok, regime, -1)],
+                            cells[:, split:], _STATUS_CELLS[status]), axis=1)
+    del cells  # the text is made with one copy of the cells, not two
+    return words.tobytes().translate(None, b"\0")
+
+
+def record_fields(f_e, f_n, beta, mu_l, batch: Batch) -> bytearray:
+    """The CSV text of a batch in COLUMNS order, one line per batch point.
 
     ``f_e``, ``f_n`` and the derived bath parameters ``beta`` and ``mu_l``
     of :func:`point_baths` broadcast to the batch.  Every row comes from a
     batch point: one that failed a gate keeps its forces and the
     :data:`STATUS_WORDS` word of its status, with every other cell empty.
+    Each cell is byte for byte ``"%.16e" % x``.  The text grows one
+    sub-block of rows at a time, so the block's text is held once.
     """
     shape = batch.status.shape
-    cells = np.vstack((
-        np.broadcast_to(f_e, shape), np.broadcast_to(f_n, shape),
-        np.broadcast_to(beta, shape), np.broadcast_to(mu_l, shape),
-        batch.currents, batch.gamma_cw, batch.x, batch.y, batch.m, batch.n,
-        batch.sigma_macro, batch.sigma_micro, batch.res_j_e, batch.res_j_n,
-    )).tolist()
-    rows = zip(*cells[:18], _optional(batch.pq), *cells[18:20],
-               [_REGIME_WORDS[r] for r in batch.regime.tolist()],
-               _optional(batch.cop), _optional(batch.eta), *cells[20:])
-    return [_FAILED_ROW % (row[0], row[1], STATUS_WORDS[code]) if code else _OK_ROW % row
-            for code, row in zip(batch.status.tolist(), rows)]
+    columns = (*(np.broadcast_to(x, shape) for x in (f_e, f_n, beta, mu_l)),
+               *batch.currents, batch.gamma_cw, batch.x, batch.y, batch.m, batch.n,
+               batch.pq, batch.sigma_macro, batch.sigma_micro, batch.cop, batch.eta,
+               batch.res_j_e, batch.res_j_n)
+    text = bytearray()
+    for start in range(0, shape[0], _SUB_BLOCK):
+        rows = slice(start, start + _SUB_BLOCK)
+        text += _render(np.stack([c[rows] for c in columns], axis=1),
+                        batch.regime[rows], batch.status[rows])
+    return text
