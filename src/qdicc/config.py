@@ -270,15 +270,6 @@ def _exponent_words() -> np.ndarray:
     return text.view(_WORD).T.copy()
 
 
-def _lead_words() -> np.ndarray:
-    """"[-]d." as one NUL-padded word, at 10·sign + d."""
-    text = np.zeros((2, 10, 4), np.uint8)
-    text[1, :, 0] = ord("-")
-    text[:, :, 1] = np.arange(ord("0"), ord("9") + 1)
-    text[:, :, 2] = ord(".")
-    return text.reshape(20, 4).view(_WORD)[:, 0]
-
-
 def _digit_words() -> np.ndarray:
     """"0000" to "9999" as one word each."""
     text = np.empty((10, 10, 10, 10, 4), np.uint8)
@@ -297,7 +288,8 @@ _SCALE = np.fromstring(" ".join([f"1e{16 - e}" for e in _EXPONENTS.tolist()]),
                        dtype=np.longdouble, sep=" ")
 _SLACK = _slack(np.finfo(np.longdouble))
 _EXPONENT = _exponent_words()
-_LEAD = _lead_words()
+_LEAD = _fixed([b"%s%d." % (sign, d) for sign in (b"", b"-") for d in range(10)],
+              4)[:, 0]  # "[-]d." at 10·sign + d
 _DIGITS = _digit_words()
 _BLANK = _fixed([b","], 28)[0]
 _REGIME_CELLS = _fixed([r.value.encode() + b"," for r in REGIMES] + [b","], 20)
