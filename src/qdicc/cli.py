@@ -97,7 +97,7 @@ def _solve_record(cfg: dict, tol_sign: float) -> list[str]:
     engine.raise_for_status(batch.status[0])
     if raw:
         f_e, f_n = batch.forces[1:, 0]
-    return record_fields(f_e, f_n, beta, mu_l, batch).decode().rstrip("\n").split(",")
+    return b"".join(record_fields(f_e, f_n, beta, mu_l, batch)).decode().rstrip("\n").split(",")
 
 
 def _block_batch(payload):
@@ -112,25 +112,26 @@ def _block_batch(payload):
     return f_e, f_n, beta, mu_l, engine.evaluate(sys_params, *baths, tol_sign=tol_sign)
 
 
-def _sweep_row(payload) -> bytearray:
-    """The CSV text of one block of F_E grid lines; importable so workers
-    can pickle it."""
+def _sweep_row(payload) -> list[bytes]:
+    """The CSV text of one block of F_E grid lines, in chunks; importable
+    so workers can pickle it."""
     return record_fields(*_block_batch(payload))
 
 
-def _map_row(payload) -> bytes:
+def _map_row(payload) -> list[bytes]:
     """The map rows of one block of F_E grid lines, read off the engine's
     status and regime codes; importable so workers can pickle it."""
     batch = _block_batch(payload)[-1]
     codes = np.where(batch.status == engine.OK, batch.regime, -1)
     rows = _MAP_BYTES[codes].reshape(-1, len(payload[-1]))
-    return np.concatenate((rows, np.full((len(rows), 1), ord("\n"), np.uint8)), axis=1).tobytes()
+    return [np.concatenate((rows, np.full((len(rows), 1), ord("\n"), np.uint8)), axis=1).tobytes()]
 
 
-def _iter_blocks(cfg: dict, tol_sign: float, threads: int, render):
+def _iter_chunks(cfg: dict, tol_sign: float, threads: int, render):
     """Validate the sweep once, then return its spec and an iterator over
-    the text that ``render(payload)`` gives for each block of F_E grid
-    lines, in grid order; a bad config raises here, before any output."""
+    the byte chunks that ``render(payload)`` gives for each block of F_E
+    grid lines, in grid order; a bad config raises here, before any
+    output."""
     spec = build_sweep_spec(cfg)
     sys_params = build_system(cfg)
     f_e_values, f_n_values = spec.f_e_values(), spec.f_n_values()
@@ -151,7 +152,7 @@ def _iter_blocks(cfg: dict, tol_sign: float, threads: int, render):
         else:
             yield from map(render, payloads)
 
-    return spec, blocks()
+    return spec, chain.from_iterable(blocks())
 
 
 def _write_lines(out: str, chunks) -> None:
@@ -175,14 +176,14 @@ def _cmd_solve(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    _spec, blocks = _iter_blocks(cfg, args.tol_sign, args.threads, _sweep_row)
-    _write_lines(args.out, chain([(",".join(COLUMNS) + "\n").encode()], blocks))
+    _spec, chunks = _iter_chunks(cfg, args.tol_sign, args.threads, _sweep_row)
+    _write_lines(args.out, chain([(",".join(COLUMNS) + "\n").encode()], chunks))
     return 0
 
 
 def _cmd_classify_map(args) -> int:
     cfg = load_config(args.config)
-    spec, blocks = _iter_blocks(cfg, args.tol_sign, args.threads, _map_row)
+    spec, chunks = _iter_chunks(cfg, args.tol_sign, args.threads, _map_row)
     legend = " ".join(f"{code}={name}" for name, code in
                       zip([r.value for r in engine.REGIMES] + ["error"], MAP_CODES))
     header = [
@@ -191,7 +192,7 @@ def _cmd_classify_map(args) -> int:
         f"# columns: F_N from {spec.f_n_min:g} to {spec.f_n_max:g} in {spec.f_n_steps} steps",
         f"# legend: {legend}",
     ]
-    _write_lines(args.out, chain(["".join(line + "\n" for line in header).encode()], blocks))
+    _write_lines(args.out, chain(["".join(line + "\n" for line in header).encode()], chunks))
     return 0
 
 

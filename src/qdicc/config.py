@@ -374,24 +374,25 @@ def _render(v: np.ndarray, regime: np.ndarray, status: np.ndarray) -> bytes:
     return words.tobytes().translate(None, b"\0")
 
 
-def record_fields(f_e, f_n, beta, mu_l, batch: Batch) -> bytearray:
-    """The CSV text of a batch in COLUMNS order, one line per batch point.
+def record_fields(f_e, f_n, beta, mu_l, batch: Batch) -> list[bytes]:
+    """The CSV text of a batch in COLUMNS order, one line per batch point,
+    as one chunk per sub-block of at most _SUB_BLOCK rows.
 
     ``f_e``, ``f_n`` and the derived bath parameters ``beta`` and ``mu_l``
     of :func:`point_baths` broadcast to the batch.  Every row comes from a
     batch point: one that failed a gate keeps its forces and the
     :data:`STATUS_WORDS` word of its status, with every other cell empty.
-    Each cell is byte for byte ``"%.16e" % x``.  The text grows one
-    sub-block of rows at a time, so the block's text is held once.
+    Each cell is byte for byte ``"%.16e" % x``.  The chunks are written in
+    turn, never joined, so the block's text is held once.
     """
     shape = batch.status.shape
     columns = (*(np.broadcast_to(x, shape) for x in (f_e, f_n, beta, mu_l)),
                *batch.currents, batch.gamma_cw, batch.x, batch.y, batch.m, batch.n,
                batch.pq, batch.sigma_macro, batch.sigma_micro, batch.cop, batch.eta,
                batch.res_j_e, batch.res_j_n)
-    text = bytearray()
+    chunks = []
     for start in range(0, shape[0], _SUB_BLOCK):
         rows = slice(start, start + _SUB_BLOCK)
-        text += _render(np.stack([c[rows] for c in columns], axis=1),
-                        batch.regime[rows], batch.status[rows])
-    return text
+        chunks.append(_render(np.stack([c[rows] for c in columns], axis=1),
+                              batch.regime[rows], batch.status[rows]))
+    return chunks

@@ -306,9 +306,9 @@ class TestSweep:
         del cfg["F_E"], cfg["F_N"]
         # the Fermi-tail cell of test_fermi_tail_cell_gets_a_typed_status
         # fails an engine gate
-        text = _sweep_row((build_system(cfg), cfg, 1e-10, np.array([-0.99]),
-                           np.array([-711.86])))
-        lines = text.decode().splitlines()
+        chunks = _sweep_row((build_system(cfg), cfg, 1e-10, np.array([-0.99]),
+                             np.array([-711.86])))
+        lines = b"".join(chunks).decode().splitlines()
         assert len(lines) == 1
         row = lines[0].split(",")
         assert row[-1] == "error:precondition"

@@ -103,7 +103,7 @@ def test_percent_path_alone_gives_the_same_bytes(monkeypatch):
     slack = config._slack(np.finfo(np.float64))
     assert slack.min() >= 0.5
     args = block("census_12x12", 60)
-    fast = record_fields(*args)
+    fast = b"".join(record_fields(*args))
     monkeypatch.setattr(config, "_SLACK", slack)
     significands, exact_cells = config._significands, []
 
@@ -113,27 +113,30 @@ def test_percent_path_alone_gives_the_same_bytes(monkeypatch):
         return d, i, exact
 
     monkeypatch.setattr(config, "_significands", spy)
-    assert record_fields(*args) == fast
+    assert b"".join(record_fields(*args)) == fast
     assert exact_cells and not any(exact_cells)
 
 
 def test_sub_blocks_join_seamlessly(monkeypatch):
     monkeypatch.setattr(config, "_SUB_BLOCK", 7)
     text = (GOLDEN / "inverse_plane_10x10.csv").read_bytes()
-    assert record_fields(*block("inverse_plane_10x10", 10)) == text.split(b"\n", 1)[1]
+    chunks = record_fields(*block("inverse_plane_10x10", 10))
+    assert len(chunks) == 15
+    assert b"".join(chunks) == text.split(b"\n", 1)[1]
 
 
 def test_record_fields_memory_is_bounded():
-    # an all-ok 4096-point block: 2.3 MB of text.  Rendered in 512-row
-    # sub-blocks the peak is that text plus about 1 MB; rendered whole it
-    # was about 8 MB, and the per-row % template peaked at 6.1 MB
+    # an all-ok 4096-point block: 2.3 MB of text.  In 512-row sub-blocks
+    # whose chunks are never joined the peak is 3.4 MB, that text and one
+    # sub-block's temporaries; one render of the whole block peaked at
+    # 10.5 MB, and the per-row % template at 6.1 MB
     args = block("inverse_plane_10x10", 64)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        text = record_fields(*args)
+        chunks = record_fields(*args)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    assert len(text) > 2_000_000
+    assert sum(map(len, chunks)) > 2_000_000
     assert peak < 4_000_000
