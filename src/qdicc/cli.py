@@ -157,7 +157,12 @@ def _iter_chunks(cfg: dict, tol_sign: float, threads: int, render):
 
 def _write_lines(out: str, chunks) -> None:
     """Write each bytes chunk of ``chunks`` to ``out``, or to standard
-    output for ``-``."""
+    output for ``-``: to its binary buffer, or as text where it has none
+    (an ``io.StringIO`` that an in-process caller redirected it to)."""
+    if out == "-" and not hasattr(sys.stdout, "buffer"):
+        for chunk in chunks:
+            sys.stdout.write(chunk.decode())
+        return
     if out == "-":
         sys.stdout.flush()  # whatever text went before comes first
     with nullcontext(sys.stdout.buffer) if out == "-" else open(out, "wb") as fh:

@@ -12,6 +12,8 @@ units in the last place (ulp).  After a deliberate change, re-record with
 
     PYTHONPATH=src python tests/test_golden.py
 """
+import contextlib
+import io
 import json
 import os
 import struct
@@ -95,6 +97,20 @@ def test_solve_bytes(name, threads, capsysbinary):
     assert code == recorded["solve_exit_codes"][name]
     assert_same((GOLDEN / f"solve_{name}.stdout").read_bytes(), out)
     assert_same((GOLDEN / f"solve_{name}.stderr").read_bytes(), err)
+
+
+@pytest.mark.parametrize("command, name", [("sweep", "census_12x12"),
+                                           ("solve", "equilibrium")])
+def test_text_only_stdout_gets_the_same_text(command, name):
+    # an in-process caller may redirect stdout to a stream with no buffer
+    if command == "sweep":
+        cfg, golden = GOLDEN / f"{name}.cfg", GOLDEN / f"{name}.csv"
+    else:
+        cfg, golden = ROOT / "configs" / f"{name}.cfg", GOLDEN / f"solve_{name}.stdout"
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        assert main([command, "--config", str(cfg)]) == 0
+    assert_same(golden.read_bytes(), text.getvalue().encode())
 
 
 def test_differences_name_cells_and_ulps():
