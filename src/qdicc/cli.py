@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import nullcontext
 from itertools import chain
 
 import numpy as np
@@ -159,16 +158,15 @@ def _write_lines(out: str, chunks) -> None:
     """Write each bytes chunk of ``chunks`` to ``out``, or to standard
     output for ``-``: to its binary buffer, or as text where it has none
     (an ``io.StringIO`` that an in-process caller redirected it to)."""
-    if out == "-" and not hasattr(sys.stdout, "buffer"):
-        for chunk in chunks:
-            sys.stdout.write(chunk.decode())
-        return
-    if out == "-":
+    if out != "-":
+        with open(out, "wb") as fh:
+            fh.writelines(chunks)
+    elif not hasattr(sys.stdout, "buffer"):
+        sys.stdout.writelines(chunk.decode() for chunk in chunks)
+    else:
         sys.stdout.flush()  # whatever text went before comes first
-    with nullcontext(sys.stdout.buffer) if out == "-" else open(out, "wb") as fh:
-        for chunk in chunks:
-            fh.write(chunk)
-        fh.flush()
+        sys.stdout.buffer.writelines(chunks)
+        sys.stdout.buffer.flush()
 
 
 def _cmd_solve(args) -> int:
