@@ -155,18 +155,13 @@ def _iter_chunks(cfg: dict, tol_sign: float, threads: int, render):
 
 
 def _write_lines(out: str, chunks) -> None:
-    """Write each bytes chunk of ``chunks`` to ``out``, or to standard
-    output for ``-``: to its binary buffer, or as text where it has none
-    (an ``io.StringIO`` that an in-process caller redirected it to)."""
-    if out != "-":
-        with open(out, "wb") as fh:
-            fh.writelines(chunks)
-    elif not hasattr(sys.stdout, "buffer"):
+    """Write each bytes chunk of ``chunks`` to the file ``out``, or as text
+    to standard output for ``-``."""
+    if out == "-":
         sys.stdout.writelines(chunk.decode() for chunk in chunks)
     else:
-        sys.stdout.flush()  # whatever text went before comes first
-        sys.stdout.buffer.writelines(chunks)
-        sys.stdout.buffer.flush()
+        with open(out, "wb") as fh:
+            fh.writelines(chunks)
 
 
 def _cmd_solve(args) -> int:
