@@ -9,19 +9,21 @@ Live kernels, each the one implementation of its quantity: the Fermi
 occupations (:func:`occupations`, also behind ``model.fermi_plus``,
 ``model.fermi_minus`` and the closed-form cycle flux), rates
 (:func:`rate_vector`), the generator (:func:`generator_matrix`), channel
-fluxes (:func:`channel_fluxes`), the network-form entropy
-(:func:`schnakenberg`) and the RK4 transient (:func:`rk4_evolve`: RK4's
-one-step matrix applied to the deviation from a stationary anchor, one
-matrix-vector product per step, with every step still policed).  The
-tables ``_EXCITE``/``_RELAX``/``_LEAD``/``_LOWER``/``_UPPER`` and the mask
-``_BLOCKED`` built from them are the one place in the package that says
-which lead and which states each channel joins; :mod:`qdicc.kinetics`
+fluxes (:func:`channel_fluxes`), the nine currents
+(:func:`currents_vector`), the network-form entropy (:func:`schnakenberg`)
+and the RK4 transient (:func:`rk4_evolve`: RK4's one-step matrix applied to
+the deviation from a stationary anchor, one matrix-vector product per step,
+with every step still policed).  The tables
+``_EXCITE``/``_RELAX``/``_LEAD``/``_LOWER``/``_UPPER``, the mask
+``_BLOCKED`` built from them and the transition energies of
+:func:`channel_energies` are the one place in the package that says which
+lead, which states and which energy each channel has; :mod:`qdicc.kinetics`
 reads its channel index and its blocked generator entries off them.
 
-``solve4``, ``steady_rho``, ``cycle_legs`` and ``currents_vector`` are no
-longer called by the package: the spanning-tree steady state of
-:mod:`qdicc.engine` replaced the dense solve.  They remain only because the
-span tracer in ``perfbench/spans.py`` looks each of them up by name.
+``solve4``, ``steady_rho`` and ``cycle_legs`` are no longer called by the
+package: the spanning-tree steady state of :mod:`qdicc.engine` replaced the
+dense solve.  They remain only because the span tracer in
+``perfbench/spans.py`` looks each of them up by name.
 
 Channel layout for the 12 directed reservoir-resolved rate constants::
 
@@ -49,6 +51,8 @@ _RELAX = np.array((L_BA, R_BA, L_DC, R_DC, U_CA, U_DB))
 _LEAD = np.array((0, 1, 0, 1, 2, 2))
 _LOWER = np.array((0, 0, 2, 2, 0, 1))
 _UPPER = np.array((1, 1, 3, 3, 2, 3))
+# the two channels of each lead (l, r, u), in table order
+_LEAD_FIRST, _LEAD_SECOND = np.argsort(_LEAD, kind="stable").reshape(3, 2).T
 
 # the off-diagonal generator entries no channel feeds: B<->C and A<->D
 _BLOCKED = ~np.eye(4, dtype=bool)
@@ -77,6 +81,11 @@ def occupations(x):
     return np.where(upper, small, big), np.where(upper, big, small)
 
 
+def channel_energies(eps_b, eps_u, kappa):
+    """Transition energy omega of each table channel, shape (6,)."""
+    return np.array((eps_b, eps_b, eps_b + kappa, eps_b + kappa, eps_u, eps_u + kappa))
+
+
 def rate_vector(eps_b, eps_u, kappa, beta, mu, gamma):
     """The 12 directed rate constants gamma_lam * f^(+/-), shape (12, ...).
 
@@ -89,9 +98,7 @@ def rate_vector(eps_b, eps_u, kappa, beta, mu, gamma):
     holds to within an ulp.
     """
     beta, mu, gamma = (np.asarray(v, dtype=float) for v in (beta, mu, gamma))
-    # transition energy of each table channel
-    omega = np.array((eps_b, eps_b, eps_b + kappa, eps_b + kappa, eps_u, eps_u + kappa))
-    omega = omega.reshape((6,) + (1,) * (beta.ndim - 1))
+    omega = channel_energies(eps_b, eps_u, kappa).reshape((6,) + (1,) * (beta.ndim - 1))
     x = beta[_LEAD] * (omega - mu[_LEAD])
     excite, relax = occupations(x)
     g = gamma[_LEAD]
@@ -191,31 +198,21 @@ def channel_fluxes(k, rho):
     return k[_EXCITE] * rho[_LOWER] - k[_RELAX] * rho[_UPPER]
 
 
-def currents_vector(k, rho, eps_b, eps_u, kappa, mu_l, mu_r, mu_u):
-    """Per-lead energy, particle and heat currents (l, r, u order).
+def currents_vector(g, eps_b, eps_u, kappa, mu):
+    """Energy, particle and heat currents (9, ...) from the channel fluxes.
 
-    Positive values mean flow from the reservoir into the system.  Energy
-    currents weight each channel flux by its transition energy; heat
-    currents subtract mu_lam per transported particle.
+    ``g`` is (6,) for one point or (6, N) for a batch, from
+    :func:`channel_fluxes`; ``mu`` is the (l, r, u) triple of chemical
+    potentials, of scalars or of (N,) arrays to match.  Order:
+    J_E (l, r, u), J_N (l, r, u), J_Q (l, r, u); positive values flow from
+    the reservoir into the system.  Each lead sums its two channels, J_E
+    weighted by their transition energies; J_Q subtracts mu_lam per
+    transported particle.
     """
-    g = channel_fluxes(k, rho)
-    out = np.empty(9)
-    je_l = eps_b * g[0] + (eps_b + kappa) * g[2]
-    je_r = eps_b * g[1] + (eps_b + kappa) * g[3]
-    je_u = eps_u * g[4] + (eps_u + kappa) * g[5]
-    jn_l = g[0] + g[2]
-    jn_r = g[1] + g[3]
-    jn_u = g[4] + g[5]
-    out[0] = je_l
-    out[1] = je_r
-    out[2] = je_u
-    out[3] = jn_l
-    out[4] = jn_r
-    out[5] = jn_u
-    out[6] = je_l - mu_l * jn_l
-    out[7] = je_r - mu_r * jn_r
-    out[8] = je_u - mu_u * jn_u
-    return out
+    e = channel_energies(eps_b, eps_u, kappa).reshape((6,) + (1,) * (g.ndim - 1)) * g
+    je = e[_LEAD_FIRST] + e[_LEAD_SECOND]
+    jn = g[_LEAD_FIRST] + g[_LEAD_SECOND]
+    return np.concatenate((je, jn, je - np.asarray(mu, dtype=float) * jn))
 
 
 def schnakenberg(k, rho):

@@ -12,8 +12,8 @@ formula vectorizes over a whole grid.
 Arrays are channel-major: rates are (12, ...) in the channel order of
 :mod:`qdicc._kernels`, populations (4, ...) in state order A, B, C, D.  The
 same functions therefore serve one point (rates of shape (12,)) and a batch
-(shape (12, N)).  Rates, channel fluxes and the network-form entropy come
-from the array kernels of :mod:`qdicc._kernels`.
+(shape (12, N)).  Rates, channel fluxes, currents and the network-form
+entropy come from the array kernels of :mod:`qdicc._kernels`.
 
 Per-point failures never raise here.  Each stage that owns a gate returns
 a per-row status code next to its values, and :func:`evaluate` keeps the
@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import (L_AB, L_BA, L_CD, L_DC, R_AB, R_BA, R_CD, R_DC, U_AC,
-                       U_BD, U_CA, U_DB, channel_fluxes, rate_vector,
-                       schnakenberg)
+                       U_BD, U_CA, U_DB, channel_fluxes, currents_vector,
+                       rate_vector, schnakenberg)
 from .errors import (DegenerateNetworkError, DegenerateRateError,
                      LogDomainError, NumericalError, PreconditionError,
                      SecondLawViolationError)
@@ -156,21 +156,6 @@ def stationary(fwd, bwd):
                                    np.where(np.abs(legs - gamma_cw).max(axis=0) <= tol,
                                             OK, LEGS)))
     return p[list(RING)], gamma_cw, legs, status
-
-
-def currents(sys: SystemParams, g, mu):
-    """Energy, particle and heat currents (9, ...) from the channel fluxes.
-
-    Order: J_E (l, r, u), J_N (l, r, u), J_Q (l, r, u); positive values flow
-    from the reservoir into the system, J_Q subtracts mu_lam per particle.
-    """
-    eps_b, eps_u, kappa = sys.eps_b, sys.eps_u, sys.kappa
-    je = (eps_b * g[0] + (eps_b + kappa) * g[2],
-          eps_b * g[1] + (eps_b + kappa) * g[3],
-          eps_u * g[4] + (eps_u + kappa) * g[5])
-    jn = (g[0] + g[2], g[1] + g[3], g[4] + g[5])
-    jq = tuple(e - m * n for e, m, n in zip(je, mu, jn))
-    return np.array((*je, *jn, *jq))
 
 
 def xy(k, g, gamma_cw):
@@ -371,7 +356,7 @@ def evaluate(sys: SystemParams, beta, mu, gamma, tol_sign: float = 1e-10) -> Bat
         rho, gamma_cw, legs, ss_status = stationary(*ring(k))
 
         g = channel_fluxes(k, rho)
-        cur = currents(sys, g, mu)
+        cur = currents_vector(g, sys.eps_b, sys.eps_u, sys.kappa, mu)
         x, y, xy_status = xy(k, g, gamma_cw)
         m, n, mn_status = mn(k)
         sigma_macro, _decomposition, macro_status = entropy_macro(beta, cur, f)

@@ -165,7 +165,9 @@ def evolve(rho0, w, dt: float, t_end: float, sample_stride: int = 1) -> Trajecto
     which reaches the caller unchanged.  Samples are recorded every
     ``sample_stride`` steps plus the initial and final states.
     ``rho0`` is four finite populations (a :class:`PopulationVector` or any
-    sequence).  ``w`` is a :class:`Generator`; any other array is validated
+    sequence) on the simplex within the integrator's tolerances: they sum
+    to 1 within 1e-9 and none is below -1e-9, or a ``ValueError`` names
+    ``rho0``.  ``w`` is a :class:`Generator`; any other array is validated
     as one (4x4, finite, non-negative off the diagonal, zero column sums,
     zero blocked entries) and a ``ValueError`` names the first failure.
     ``dt``, ``t_end`` and the step count t_end / dt must be finite, and
@@ -190,6 +192,12 @@ def evolve(rho0, w, dt: float, t_end: float, sample_stride: int = 1) -> Trajecto
         raise ValueError(f"rho0 must hold 4 populations, got shape {rho_arr.shape}")
     if not np.isfinite(rho_arr).all():
         raise ValueError("rho0 must be finite")
+    # the integrator's own simplex tolerances; Python floats keep this cheap
+    v = rho_arr.tolist()
+    if (abs(v[0] + v[1] + v[2] + v[3] - 1.0) > _kernels.DRIFT_TOL
+            or min(v) < -_kernels.NEGATIVE_TOL):
+        raise ValueError(f"rho0 must sum to 1 within {_kernels.DRIFT_TOL:g} with no "
+                         f"population below {-_kernels.NEGATIVE_TOL:g}, got {v}")
     w_arr = (w if isinstance(w, Generator) else Generator(w)).matrix
     rho_ss, _, _, status = engine.stationary(*engine.ring_from_generator(w_arr))
     anchor = rho_ss if status == engine.OK else np.zeros(4)

@@ -115,11 +115,12 @@ def forces_micro(rc: RateConstants, sys: SystemParams) -> ForceSet:
     mn = mn_factors(rc)
     log_m = math.log(mn.m)
     log_n = math.log(mn.n)
-    return ForceSet(
-        f_e_u=inv_kappa * math.log(cycle_l),
-        f_e_r=inv_kappa * (log_n - log_m),
-        f_n_r=(1.0 + theta) * log_m - theta * log_n,
-    )
+    # a rate product that under- or overflowed leaves the cycle product 0 or inf
+    log_cycle = math.log(cycle_l) if 0.0 < cycle_l < math.inf else math.nan
+    forces = (inv_kappa * log_cycle, inv_kappa * (log_n - log_m),
+              (1.0 + theta) * log_m - theta * log_n)
+    _raise_unless_finite(forces)
+    return ForceSet(*forces)
 
 
 def entropy_production_macro(cs: CurrentSet, baths: BathConfig,
@@ -138,11 +139,23 @@ def entropy_production_macro(cs: CurrentSet, baths: BathConfig,
                          decomposition=tuple(float(d) for d in decomposition))
 
 
+def _raise_unless_finite(*values) -> None:
+    """Raise the engine's NONFINITE error unless every value is finite."""
+    if not all(np.isfinite(v).all() for v in values):
+        engine.raise_for_status(engine.NONFINITE)
+
+
 def _network_form(rc: RateConstants, rho):
-    """(sigma, phi, terms) of the network form, inside its log domain."""
+    """(sigma, phi, terms) of the network form, inside its log domain.
+
+    The one-way fluxes k rho can underflow to 0 although k and rho pass the
+    log domain; the kernel's warnings are masked and the callers check that
+    what they return is finite.
+    """
     values = rho.values if isinstance(rho, PopulationVector) else np.asarray(rho, float)
     engine.raise_for_status(engine.log_domain(rc.values, values))
-    return _kernels.schnakenberg(rc.values, values)
+    with np.errstate(all="ignore"):
+        return _kernels.schnakenberg(rc.values, values)
 
 
 def entropy_production_micro(rc: RateConstants, rho) -> EntropyReport:
@@ -153,13 +166,16 @@ def entropy_production_micro(rc: RateConstants, rho) -> EntropyReport:
     rate-log form diverges; they are rejected, never clamped).
     """
     sigma, phi, _terms = _network_form(rc, rho)
+    _raise_unless_finite(sigma, phi)
     return EntropyReport(sigma_dot=float(sigma), phi_dot=float(phi))
 
 
 def schnakenberg_terms(rc: RateConstants, rho) -> np.ndarray:
     """The six individually non-negative production summands, in the
     channel order of :func:`qdicc._kernels.channel_fluxes`."""
-    return np.asarray(_network_form(rc, rho)[2])
+    terms = np.asarray(_network_form(rc, rho)[2])
+    _raise_unless_finite(terms)
+    return terms
 
 
 @dataclass(frozen=True)
@@ -190,9 +206,11 @@ def entropy_balance_transient(trajectory: Trajectory,
         raise ValueError("need at least three samples for a centered difference")
     # one status per sample: any sample on the simplex boundary raises
     engine.raise_for_status(engine.log_domain(rc.values, pops.T).max())
-    shannon = -np.sum(pops * np.log(pops), axis=1)
-    ds_dt = (shannon[2:] - shannon[:-2]) / (times[2:] - times[:-2])
-    sigma, phi, _terms = _kernels.schnakenberg(rc.values[:, None], pops[1:-1].T)
+    with np.errstate(all="ignore"):
+        shannon = -np.sum(pops * np.log(pops), axis=1)
+        ds_dt = (shannon[2:] - shannon[:-2]) / (times[2:] - times[:-2])
+        sigma, phi, _terms = _kernels.schnakenberg(rc.values[:, None], pops[1:-1].T)
+    _raise_unless_finite(ds_dt, sigma, phi)
     return TransientEntropyBalance(
         times=times[1:-1].copy(), ds_dt=ds_dt, sigma_dot=sigma, phi_dot=phi
     )

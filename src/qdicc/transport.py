@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels, engine
+from . import _kernels
 from .kinetics import PopulationVector, RateConstants
 from .model import BathConfig, SystemParams
 from .steadystate import SteadyState
@@ -86,8 +86,8 @@ def currents(rc: RateConstants, ss: SteadyState, sys: SystemParams,
     fluxes unweighted; J_Q subtracts mu_lam per transported particle.
     """
     rho = ss.rho.values if isinstance(ss.rho, PopulationVector) else np.asarray(ss.rho)
-    out = engine.currents(sys, _kernels.channel_fluxes(rc.values, rho),
-                          baths.triples[1])
+    out = _kernels.currents_vector(_kernels.channel_fluxes(rc.values, rho),
+                                   sys.eps_b, sys.eps_u, sys.kappa, baths.triples[1])
     return CurrentSet(j_e=out[0:3], j_n=out[3:6], j_q=out[6:9])
 
 

@@ -1,4 +1,5 @@
 """Command-line surface: config parsing, outputs, determinism, exit codes."""
+import dataclasses
 import math
 import re
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdicc import engine
 from qdicc.cli import main
 from qdicc.config import COLUMNS, build_system, parse_config_text
 
@@ -575,6 +577,66 @@ class TestExitCodes:
             main(["sweep", "--config", cfg, "--tol-sign", tol])
         assert exc.value.code == 2
         assert "--tol-sign: must be finite and non-negative" in capsys.readouterr().err
+
+    def test_tol_sign_value_reaches_the_classifier(self, tmp_path, capsys):
+        # no current exceeds 1e300, so no current runs against its force
+        configs = Path(__file__).resolve().parent.parent / "configs"
+        point = str(configs / "pseudo_inverse_energy.cfg")
+        for tol, regime in ((None, "PseudoIccEnergy"), ("1e300", "Normal")):
+            args = ["solve", "--config", point] + (["--tol-sign", tol] if tol else [])
+            assert main(args) == 0
+            assert parse_solve_output(capsys.readouterr().out)["regime"] == regime
+        text = (configs / "inverse_plane.cfg").read_text(encoding="utf-8")
+        cfg = write(tmp_path, "plane.cfg", text.replace("_steps = 100", "_steps = 10"))
+        grids = []
+        for tol in (None, "1e300"):
+            out = tmp_path / "map.txt"
+            args = ["classify-map", "--config", cfg, "--out", str(out)]
+            assert main(args + (["--tol-sign", tol] if tol else [])) == 0
+            grids.append([ln for ln in out.read_text().splitlines()
+                          if not ln.startswith("#")])
+        assert set("".join(grids[0])) != {"."}
+        assert grids[1] == ["." * 10] * 10
+
+    def test_numerical_error_exits_4(self, tmp_path, capsys, monkeypatch):
+        evaluate = engine.evaluate
+
+        def nonfinite(*args, **kwargs):
+            batch = evaluate(*args, **kwargs)
+            return dataclasses.replace(batch, status=np.full_like(batch.status,
+                                                                 engine.NONFINITE))
+
+        monkeypatch.setattr(engine, "evaluate", nonfinite)
+        cfg = write(tmp_path, "point.cfg", POINT_CONFIG)
+        assert main(["solve", "--config", cfg]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"numerical error: {engine.ERRORS[engine.NONFINITE][1]}\n"
+
+    @pytest.mark.parametrize("command, text, message", [
+        ("sweep", SWEEP_CONFIG.replace("F_N_steps = 5", ""),
+         "missing required key(s): F_N_steps"),
+        ("sweep", SWEEP_CONFIG + "eps_b 1.0\n", "line 16: expected 'key = value'"),
+        ("sweep", SWEEP_CONFIG.replace("F_E_steps = 7", "F_E_steps = 7.5"),
+         "F_E_steps needs an integer, got '7.5'"),
+        ("sweep", SWEEP_CONFIG.replace("setup = icc", "setup = bogus"),
+         "setup must be one of"),
+        ("sweep", SWEEP_CONFIG + "kappa_c = 1.0\n", "pass either kappa or"),
+        ("solve", RAW_CONFIG + "F_E = 0.5\n", "F_E is not accepted in the raw setup"),
+        ("sweep", SWEEP_CONFIG.replace("F_E_steps = 7", "F_E_steps = 1"),
+         "sweep axes need at least 2 steps each"),
+    ], ids=["missing-key", "no-equals", "non-integer-steps", "unknown-setup",
+            "kappa-and-kappa_c", "F_E-in-raw", "one-step"])
+    def test_config_errors(self, tmp_path, capsys, command, text, message):
+        cfg = write(tmp_path, "bad.cfg", text)
+        out = tmp_path / "never.out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+        assert not out.exists()
 
 
 def test_cli_import_leaves_the_process_pool_out():

@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdicc import (CurrentSet, QdiccError, RateConstants, SystemParams, Trajectory,
-                   analyze_point, cycle_flux_closed_form, engine,
-                   entropy_balance_transient, entropy_production_macro,
-                   entropy_production_micro, forces_macro, forces_micro,
-                   generator, icc_reduction, invert_forces, mn_factors,
-                   pq_ratio, rate_constants, schnakenberg_terms, steady_state)
+from qdicc import (CurrentSet, NumericalError, QdiccError, RateConstants,
+                   SystemParams, Trajectory, analyze_point,
+                   cycle_flux_closed_form, engine, entropy_balance_transient,
+                   entropy_production_macro, entropy_production_micro,
+                   forces_macro, forces_micro, generator, icc_reduction,
+                   invert_forces, mn_factors, pq_ratio, rate_constants,
+                   schnakenberg_terms, steady_state)
 from qdicc._kernels import R_BA, U_AC
 
 from conftest import BETA_R, EPS_B, EPS_U, MU_R, MU_U, random_baths, random_system
@@ -191,6 +192,51 @@ class TestStatus:
             with pytest.raises(cls) as exc:
                 call()
             assert (type(exc.value), str(exc.value)) == (cls, message)
+
+    def test_rate_log_views_raise_typed_in_the_fermi_tails(self):
+        # the one-way fluxes k rho and the cycle product can underflow to 0
+        # with every rate and population positive: the views used to leak a
+        # RuntimeWarning (an error in this suite) and return inf, or raise
+        # ForceSet's bare "f_e_u must be finite"; where only the flux rate's
+        # k_excite / k_relax overflows, the summands stay finite
+        sys = SystemParams(eps_b=EPS_B, eps_u=EPS_U, kappa=-1.5)
+        points, nonfinite = 0, {}
+        for beta in np.linspace(0.2, 400.0, 41):
+            for mu_l in (-300.0, -20.0, -1.0, 0.5, 3.0, 20.0, 300.0):
+                rc = rate_constants(sys, icc_reduction(float(beta), 1.0, mu_l, 1.0, 3.0))
+                try:
+                    rho = steady_state(generator(rc)).rho
+                except QdiccError:
+                    continue
+                points += 1
+                trajectory = Trajectory(times=np.arange(3.0),
+                                        populations=np.array([rho.values] * 3))
+                # each view's returned values; None marks a field it leaves out
+                views = {
+                    "entropy_production_micro":
+                        lambda: vars(entropy_production_micro(rc, rho)).values(),
+                    "schnakenberg_terms": lambda: [schnakenberg_terms(rc, rho)],
+                    "entropy_balance_transient":
+                        lambda: vars(entropy_balance_transient(trajectory, rc)).values(),
+                    "forces_micro": lambda: vars(forces_micro(rc, sys)).values(),
+                }
+                for name, view in views.items():
+                    try:
+                        values = view()
+                    except (QdiccError, ValueError) as exc:
+                        # only the engine's errors, with their messages
+                        assert (type(exc), str(exc)) in engine.ERRORS.values(), (name, exc)
+                        if str(exc) == engine.ERRORS[engine.NONFINITE][1]:
+                            assert isinstance(exc, NumericalError)
+                            nonfinite.setdefault(name, []).append((beta, mu_l))
+                        continue
+                    assert all(np.isfinite(v).all() for v in values if v is not None), \
+                        (name, beta, mu_l)
+        assert points == 287
+        assert {name: len(cells) for name, cells in nonfinite.items()} == {
+            "entropy_production_micro": 11, "schnakenberg_terms": 9,
+            "entropy_balance_transient": 11, "forces_micro": 9}
+        assert (300.05, -1.0) in nonfinite["entropy_production_micro"]
 
 
 def test_each_gate_message_is_written_once():

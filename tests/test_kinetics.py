@@ -369,6 +369,24 @@ class TestEvolve:
         with pytest.raises(ValueError, match="rho0"):
             evolve(np.full((2, 4), 0.25), np.zeros((4, 4)), dt=0.01, t_end=0.1)
 
+    @pytest.mark.parametrize("rho0", [[0.5] * 4, [1.2, -0.2, 0.0, 0.0]],
+                             ids=["sum-2", "negative"])
+    def test_rho0_off_the_simplex_rejected(self, rho0):
+        # these used to fail at step 1 with advice to use a smaller dt
+        w = generator(rate_constants(SystemParams(eps_b=1.0, eps_u=2.5, kappa=-1.5),
+                                     equal_baths(beta=1.0, mu=1.0)))
+        with pytest.raises(ValueError, match="rho0 must sum to 1"):
+            evolve(rho0, w, dt=1e-3, t_end=1.0)
+
+    def test_rho0_within_drift_is_renormalized_at_the_first_step(self):
+        rng = np.random.default_rng(151)
+        w = generator(rate_constants(random_system(rng), random_baths(rng)))
+        rho0 = np.full(4, 0.25)
+        rho0[0] += 5e-12
+        traj = evolve(rho0, w, dt=1e-3, t_end=0.1)
+        assert np.array_equal(traj.populations[0], rho0)
+        assert np.abs(traj.populations[1:].sum(axis=1) - 1.0).max() < 1e-12
+
     def test_list_input_accepted(self):
         traj = evolve([0.7, 0.1, 0.1, 0.1], np.zeros((4, 4)), dt=0.01, t_end=0.1)
         assert np.array_equal(traj.populations[-1], [0.7, 0.1, 0.1, 0.1])
