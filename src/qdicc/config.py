@@ -151,7 +151,8 @@ def point_baths(cfg: dict, f_e, f_n):
             raise ValueError(
                 f"force F_E={f_e} needs beta_r > {f_e} to keep beta_u positive"
             )
-        mu_l = mu_r - f_n / beta_r
+        with np.errstate(all="ignore"):  # beta_r = 0 is left to BAD_BATHS
+            mu_l = mu_r - np.divide(f_n, beta_r)
         betas = (beta_r, beta_r, beta)
     else:
         raise PreconditionError("raw setup does not support force coordinates")
@@ -236,9 +237,9 @@ STATUS_WORDS = {OK: "ok", **{
 # takes the % path.
 _WORD = np.uint32
 
-# decimal exponents of finite doubles, with room for the one-step correction
-# of floor(log10|x|); every exponent table is indexed by E - _E_MIN
-_E_MIN, _E_MAX = -325, 309
+# the values floor(log10|x|) takes on finite doubles x != 0; every exponent
+# table is indexed by E - _E_MIN
+_E_MIN, _E_MAX = -324, 308
 _EXPONENTS = np.arange(_E_MIN, _E_MAX + 1)
 
 
@@ -317,8 +318,11 @@ def _divmod(x: np.ndarray, unit: int):
 def _significands(v: np.ndarray):
     """``(d, i, exact)``: the 17 significant digits D of each finite x != 0
     of ``v`` as an integer, the table index of its exponent E, and where D
-    is exact.  Elsewhere d is 0 and i the index of E = 0, so a zero needs
-    nothing more, and every other value is left to "%.16e"."""
+    is exact.  E = floor(log10|x|) and D = round(|x|·10^(16-E)) are taken
+    once: D is exact only where that guess lands (10^16 <= floor(y) and
+    D < 10^17) and y's fraction lies farther than _SLACK from 1/2.
+    Elsewhere d is 0 and i the index of E = 0, so a zero needs nothing
+    more, and every other value is left to "%.16e"."""
     finite = np.isfinite(v) & (v != 0)
     a = np.where(finite, np.abs(v), 1.0)
     i = np.floor(np.log10(a)).astype(np.intp) - _E_MIN
@@ -326,19 +330,11 @@ def _significands(v: np.ndarray):
     with np.errstate(over="ignore", invalid="ignore"):
         y = a * _SCALE[i]
         whole = y.astype(np.int64)  # floor: y > 0
-        shift = (whole >= 10 ** 17).astype(np.intp) - (whole < 10 ** 16)
-        moved = np.flatnonzero(shift)  # floor(log10|x|) was one off
-        if moved.size:
-            i.flat[moved] += shift.flat[moved]
-            y.flat[moved] = a.flat[moved] * _SCALE[i.flat[moved]]
-            whole.flat[moved] = y.flat[moved].astype(np.int64)
         frac = (y - whole).astype(np.float64)
-    exact = (finite & (whole >= 10 ** 16) & (whole < 10 ** 17)
+    d = whole + (frac > 0.5)
+    exact = (finite & (whole >= 10 ** 16) & (d < 10 ** 17)
              & (np.abs(frac - 0.5) > _SLACK[i]))
-    d = np.where(exact, whole + (frac > 0.5), 0)
-    carry = d == 10 ** 17  # 9.99...95eE rounds to 1.0e(E+1)
-    d[carry] = 10 ** 16
-    return d, np.where(exact, i + carry, -_E_MIN), exact
+    return np.where(exact, d, 0), np.where(exact, i, -_E_MIN), exact
 
 
 def _float_cells(v: np.ndarray, blank: np.ndarray) -> np.ndarray:
@@ -356,9 +352,8 @@ def _float_cells(v: np.ndarray, blank: np.ndarray) -> np.ndarray:
     cells[blank] = _BLANK
     slow = ~(exact | blank | (v == 0))
     if slow.any():
-        text = np.frombuffer((("%-27.16e," * np.count_nonzero(slow)) %
-                              tuple(v[slow].tolist())).encode(), np.uint8)
-        cells[slow] = np.where(text == ord(" "), 0, text).astype(np.uint8).view(_WORD).reshape(-1, 7)
+        text = (("%-27.16e," * np.count_nonzero(slow)) % tuple(v[slow].tolist())).encode()
+        cells[slow] = np.frombuffer(text.replace(b" ", b"\0"), _WORD).reshape(-1, 7)
     return cells
 
 

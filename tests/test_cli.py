@@ -1,5 +1,7 @@
 """Command-line surface: config parsing, outputs, determinism, exit codes."""
+import contextlib
 import dataclasses
+import io
 import math
 import re
 import subprocess
@@ -77,11 +79,24 @@ BATH_VALUES = ["0", "-1", "1e-300", "1e300", "-1e300", "700", "-700",
 
 NON_FINITE = re.compile(r"\b(nan|inf)\b", re.IGNORECASE)
 
+# the keys the solve property draws from BATH_VALUES in each setup; the raw
+# setup rejects F_E and F_N, so it draws its own three bath values instead
+FORCE_KEYS = ("beta_r", "mu_r", "mu_u", "gamma", "F_E", "F_N")
+RAW_KEYS = ("beta_r", "mu_r", "mu_u", "gamma", "beta_l", "beta_u", "mu_l")
+
+THERMOELECTRIC_CONFIG = POINT_CONFIG.replace("setup = icc", "setup = thermoelectric")
+
 
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def with_values(text, values):
+    """Config ``text`` with each key of ``values`` set, appended where absent."""
+    lines = [ln for ln in text.splitlines() if ln.partition("=")[0].strip() not in values]
+    return "\n".join(lines + [f"{key} = {value}" for key, value in values.items()]) + "\n"
 
 
 def parse_solve_output(text):
@@ -634,6 +649,66 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("values, message", [
+        ({"beta_r": "0", "F_E": "-1.0"}, engine.ERRORS[engine.BAD_BATHS][1]),
+        ({"beta_r": "0", "F_E": "nan"}, engine.ERRORS[engine.BAD_BATHS][1]),
+        ({"beta_r": "4.0", "F_E": "4.0"},
+         "force F_E=4.0 needs beta_r > 4.0 to keep beta_u positive"),
+    ], ids=["zero-beta_r", "zero-beta_r-nan-force", "force-past-beta_r"])
+    def test_thermoelectric_bad_baths_are_precondition_errors(self, tmp_path, capsys,
+                                                              values, message):
+        # at beta_r = 0, beta_u = beta_r - F_E passes its own check, and
+        # mu_l = mu_r - F_N / beta_r divided by zero with a traceback
+        cfg = write(tmp_path, "te.cfg", with_values(THERMOELECTRIC_CONFIG, values))
+        assert main(["solve", "--config", cfg]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"precondition error: {message}\n"
+
+    @pytest.mark.parametrize("text, keys", [
+        (POINT_CONFIG, FORCE_KEYS), (THERMOELECTRIC_CONFIG, FORCE_KEYS),
+        (RAW_CONFIG, RAW_KEYS)], ids=["icc", "thermoelectric", "raw"])
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_solve_bath_values_keep_the_contract(self, tmp_path_factory, text, keys, data):
+        # one point in each setup under extreme, zero, negative and
+        # non-finite values: a documented exit code with one message line,
+        # no escaping exception, and on success one finite `name = value`
+        # line per column
+        values = data.draw(st.fixed_dictionaries({k: st.sampled_from(BATH_VALUES) for k in keys}))
+        tmp = tmp_path_factory.mktemp("solve")
+        cfg = write(tmp, "point.cfg", with_values(text, values))
+        out, err = tmp / "solve.out", io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["solve", "--config", cfg, "--out", str(out)])
+        assert code in (0, 2, 3, 4)
+        if code == 0:
+            output = out.read_text()
+            assert NON_FINITE.search(output) is None
+            assert [ln.split(" = ")[0] for ln in output.splitlines()] == list(COLUMNS)
+            assert err.getvalue() == ""
+        else:
+            assert not out.exists()
+            assert err.getvalue().startswith(("config error: ", "precondition error: ",
+                                              "numerical error: "))
+            assert err.getvalue().count("\n") == 1
+
+    @pytest.mark.parametrize("option, value, message", [
+        ("--threads", "two", "argument --threads: invalid int value: 'two'"),
+        ("--tol-sign", "abc", "argument --tol-sign: invalid float value: 'abc'"),
+    ], ids=["threads", "tol-sign"])
+    def test_option_of_the_wrong_type_rejected(self, tmp_path, capsys, option, value, message):
+        cfg = write(tmp_path, "sweep.cfg", SWEEP_CONFIG)
+        out = tmp_path / "never.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", cfg, "--out", str(out), option, value])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
         assert message in captured.err
         assert "Traceback" not in captured.err
         assert not out.exists()

@@ -7,8 +7,8 @@ import pytest
 
 from qdicc import (ForbiddenTransitionError, IntegrationError, Lead,
                    PopulationVector, StateIndex, SystemParams, evolve,
-                   generator, net_transition_rate, rate_constants,
-                   steady_state)
+                   generator, icc_reduction, net_transition_rate,
+                   rate_constants, steady_state)
 from qdicc import _kernels
 from qdicc.kinetics import CHANNEL_INDEX, CHANNEL_PAIRS
 
@@ -300,6 +300,16 @@ class TestEvolve:
         w = generator(rc)
         with pytest.raises(IntegrationError, match="smaller dt"):
             evolve(np.array([1.0, 0.0, 0.0, 0.0]), w, dt=3.0, t_end=3000.0)
+
+    @pytest.mark.parametrize("dt, message", [
+        (100.0, "normalization drift exceeded 1e-9 at step 1 (t=100); use a smaller dt"),
+        (10.0, "population below -1e-9 at step 1 (t=10); use a smaller dt"),
+    ], ids=["drift", "negative"])
+    def test_oversized_step_names_the_check_it_fails(self, dt, message):
+        rc = rate_constants(SystemParams(1.0, 2.5, -1.5), icc_reduction(1.8, 1.0, -0.1, 1.0, 3.0))
+        with pytest.raises(IntegrationError) as exc:
+            evolve(np.array([1.0, 0.0, 0.0, 0.0]), generator(rc), dt=dt, t_end=dt)
+        assert str(exc.value) == message
 
     def test_bad_arguments(self):
         w = np.zeros((4, 4))

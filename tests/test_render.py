@@ -97,6 +97,16 @@ def test_near_ties_reach_the_percent_path():
     assert cells(ties) == ["%.16e" % x for x in ties]
 
 
+def test_missed_first_guesses_take_the_percent_path():
+    # decimal powers stored below their value: floor(log10|x|) is one too
+    # high, so y = |x|·10^(16-E) falls short of 10^16; at 1e-243 and 1e-176
+    # the 17 digits at the right exponent also round up to 10^17
+    powers = [1e-7, 1e23, 1e-307, 1e-243, 1e-176]
+    values = powers + [-x for x in powers]
+    assert not config._significands(np.array(values).reshape(-1, 1))[2].any()
+    assert cells(values) == ["%.16e" % x for x in values]
+
+
 def test_percent_path_alone_gives_the_same_bytes(monkeypatch):
     # the slack a platform whose long double is a plain double derives:
     # every cell there takes the % path, and the bytes must not change
