@@ -16,9 +16,12 @@ the deviation from a stationary anchor, one matrix-vector product per step,
 with every step still policed).  The tables
 ``_EXCITE``/``_RELAX``/``_LEAD``/``_LOWER``/``_UPPER``, the mask
 ``_BLOCKED`` built from them and the transition energies of
-:func:`channel_energies` are the one place in the package that says which
-lead, which states and which energy each channel has; :mod:`qdicc.kinetics`
-reads its channel index and its blocked generator entries off them.
+:func:`channel_energies` say which lead, which states and which energy each
+channel has; the kernels here read them, and :mod:`qdicc.kinetics` reads
+its channel index and its blocked generator entries off them.  Three
+places restate the state pairs by hand: ``engine.ring`` (the channel sums
+along each ring edge), ``engine.ring_from_generator`` (the generator
+entries of the ring edges) and ``model.TransitionTable._SIGNED``.
 
 ``solve4``, ``steady_rho`` and ``cycle_legs`` are no longer called by the
 package: the spanning-tree steady state of :mod:`qdicc.engine` replaced the

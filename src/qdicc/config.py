@@ -29,9 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import ERRORS, OK, REGIMES, Batch
+from .engine import ERRORS, OK, REGIMES, Batch, invert_forces
 from .errors import ConfigError, NumericalError, PreconditionError
-from .icc import invert_forces
 from .model import SystemParams
 
 COLUMNS: tuple[str, ...] = (
@@ -57,6 +56,10 @@ _STR_KEYS = {"setup"}
 KNOWN_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS
 
 SETUPS = ("icc", "thermoelectric", "raw")
+
+# the most grid points a sweep axis may take: a line is one engine call, at
+# ~0.8 kB a point, and an axis array is 8 bytes a point
+MAX_AXIS_STEPS = 10**6
 
 
 def parse_config_text(text: str) -> dict:
@@ -184,6 +187,8 @@ class SweepSpec:
     def __post_init__(self):
         if self.f_e_steps < 2 or self.f_n_steps < 2:
             raise ConfigError("sweep axes need at least 2 steps each")
+        if self.f_e_steps > MAX_AXIS_STEPS or self.f_n_steps > MAX_AXIS_STEPS:
+            raise ConfigError(f"sweep axes take at most {MAX_AXIS_STEPS} steps each")
 
     def f_e_values(self) -> np.ndarray:
         return np.linspace(self.f_e_min, self.f_e_max, self.f_e_steps)

@@ -60,6 +60,9 @@ REGIMES: tuple[Regime, ...] = tuple(Regime)
 
 # Per-row status codes: 0 is ok, every other code names the gate a row
 # failed, numbered in the order the point pipeline meets its gates.
+# BAD_RATES is raised only by kinetics.RateConstants: a row that passes
+# BAD_BATHS has every rate gamma f(x) in [0, gamma], since x = beta (omega -
+# mu) is never NaN and the Fermi occupations map it into [0, 1].
 (OK, BAD_BATHS, BAD_RATES, DEGENERATE, RESIDUAL, LEGS, XY, MN_DENOMINATOR,
  MN_RANGE, MACRO, LOG_DOMAIN, UNREDUCED, PQ_RANGE, ZERO_FORCE, SECOND_LAW,
  NONFINITE) = range(16)
@@ -192,6 +195,26 @@ def forces(beta, mu):
     beta and mu: beta_l - beta_u, beta_l - beta_r, beta_r mu_r - beta_l mu_l."""
     return np.array((beta[0] - beta[2], beta[0] - beta[1],
                      beta[1] * mu[1] - beta[0] * mu[0]))
+
+
+def invert_forces(f_e, f_n, beta_r: float, mu_r: float):
+    """Bath parameters (beta, mu_l) realizing given forces in the two-force setup.
+
+    beta = beta_r + f_e and mu_l = (beta_r mu_r - f_n) / beta; composing
+    with the macroscopic force formulas round-trips exactly.  ``f_e`` and
+    ``f_n`` are scalars or arrays, and a beta that is not positive raises
+    ValueError naming the first such force.  A mu_l that overflows is left
+    infinite, for the engine's BAD_BATHS gate to mark.
+    """
+    beta = beta_r + f_e
+    if np.any(beta <= 0):
+        f_e = np.broadcast_to(f_e, np.shape(beta))[np.asarray(beta) <= 0][0]
+        raise ValueError(
+            f"force f_e={f_e} needs beta_r > {-f_e} to keep beta positive"
+        )
+    with np.errstate(over="ignore"):
+        mu_l = (beta_r * mu_r - f_n) / beta
+    return beta, mu_l
 
 
 def entropy_macro(beta, cur, f):
@@ -351,7 +374,6 @@ def evaluate(sys: SystemParams, beta, mu, gamma, tol_sign: float = 1e-10) -> Bat
         bad_baths = ~(np.isfinite(bath).all(axis=0) & np.isfinite(f).all(axis=0)
                       & (beta > 0).all(axis=0) & (gamma > 0).all(axis=0))
         k = rate_vector(sys.eps_b, sys.eps_u, sys.kappa, beta, mu, gamma)
-        bad_rates = ~(np.isfinite(k) & (k >= 0.0)).all(axis=0)
 
         rho, gamma_cw, legs, ss_status = stationary(*ring(k))
 
@@ -380,7 +402,6 @@ def evaluate(sys: SystemParams, beta, mu, gamma, tol_sign: float = 1e-10) -> Bat
                      | np.isinf(cop) | np.isinf(eta))
         # each row's status is its first failing gate in pipeline order
         codes = np.array((np.where(bad_baths, BAD_BATHS, OK),
-                          np.where(bad_rates, BAD_RATES, OK),
                           ss_status, xy_status, mn_status, macro_status,
                           log_domain(k, rho), np.where(reduced, pq_codes, OK),
                           np.where(reduced, cls_codes, OK),

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels, engine
-from .engine import REGIMES, Regime
+from .engine import REGIMES, Regime, invert_forces  # noqa: F401  (re-exported)
 from .errors import PreconditionError
 from .kinetics import RateConstants
 from .model import BathConfig, Lead, Reservoir, SystemParams
@@ -61,26 +61,6 @@ def thermoelectric_reduction(beta: float, beta_u: float, mu_l: float,
         r=Reservoir(Lead.R, beta=beta, mu=mu_r, gamma=gamma),
         u=Reservoir(Lead.U, beta=beta_u, mu=mu_u, gamma=gamma),
     )
-
-
-def invert_forces(f_e, f_n, beta_r: float, mu_r: float):
-    """Bath parameters (beta, mu_l) realizing given forces in the two-force setup.
-
-    beta = beta_r + f_e and mu_l = (beta_r mu_r - f_n) / beta; composing
-    with the macroscopic force formulas round-trips exactly.  ``f_e`` and
-    ``f_n`` are scalars or arrays, and a beta that is not positive raises
-    ValueError naming the first such force.  A mu_l that overflows is left
-    infinite, for the engine's BAD_BATHS gate to mark.
-    """
-    beta = beta_r + f_e
-    if np.any(beta <= 0):
-        f_e = np.broadcast_to(f_e, np.shape(beta))[np.asarray(beta) <= 0][0]
-        raise ValueError(
-            f"force f_e={f_e} needs beta_r > {-f_e} to keep beta positive"
-        )
-    with np.errstate(over="ignore"):
-        mu_l = (beta_r * mu_r - f_n) / beta
-    return beta, mu_l
 
 
 def xy_variables(rc: RateConstants, ss: SteadyState) -> tuple[float, float]:

@@ -13,9 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdicc import engine
+from qdicc import ConfigError, engine
 from qdicc.cli import main
-from qdicc.config import COLUMNS, build_system, parse_config_text
+from qdicc.config import (COLUMNS, MAX_AXIS_STEPS, STATUS_WORDS, build_sweep_spec,
+                          build_system, parse_config_text)
 
 from conftest import BETA_R, EPS_B, EPS_U, KAPPA_ATTRACTIVE, MU_R, MU_U
 
@@ -86,6 +87,26 @@ RAW_KEYS = ("beta_r", "mu_r", "mu_u", "gamma", "beta_l", "beta_u", "mu_l")
 
 THERMOELECTRIC_CONFIG = POINT_CONFIG.replace("setup = icc", "setup = thermoelectric")
 
+# the config-key contract property draws each key from a small in-range set
+# (CONTRACT_KEYS), then sets up to two keys to a bad value: a bath value, a
+# level energy of the wrong sign, text that is not a number, a step count
+# below or past the axis limits, an unknown setup
+CONTRACT_KEYS = {
+    "eps_b": ["0.5", "1.0"], "eps_u": ["1.5", "2.5"],
+    "kappa": ["-1.5", "-0.5", "0.5", "1.5"], "kappa_c": ["0", "0.5", "2"],
+    "kappa_s": ["0", "0.5", "2"], "setup": ["icc", "icc", "icc", "thermoelectric", "raw"],
+    "F_E_min": ["-0.5", "0", "0.1", "400"], "F_E_max": ["-0.5", "0", "1.9", "400"],
+    "F_N_min": ["-2000", "-1", "0", "1.9"], "F_N_max": ["-1", "0", "1.9", "2000"],
+    "F_E_steps": ["2", "3", "4"], "F_N_steps": ["2", "3", "4"],
+    "F_E": ["-0.5", "0", "0.5", "400"], "F_N": ["-2000", "0", "1", "2000"],
+}
+BAD_VALUES = BATH_VALUES + ["2.5", "-1.5", "abc", "1,5", ""]
+BAD_STEPS = ["-1", "0", "1", "2.5", "two", "10000000000000"]
+# two thirds of the coupling forms are valid; most setups are icc, the one
+# setup a sweep takes
+COUPLINGS = [("kappa",), ("kappa",), ("kappa_c", "kappa_s"), ("kappa_c", "kappa_s"),
+             ("kappa", "kappa_c"), ("kappa_s",)]
+
 
 def write(tmp_path, name, text):
     path = tmp_path / name
@@ -128,6 +149,14 @@ class TestConfigParsing:
         from qdicc import ConfigError
         with pytest.raises(ConfigError, match="needs a number"):
             parse_config_text("eps_b = one")
+
+    @pytest.mark.parametrize("key", ["F_E_steps", "F_N_steps"])
+    def test_axis_steps_capped(self, key):
+        # the spec allocates nothing, so the cap holds before any axis exists
+        cfg = parse_config_text(SWEEP_CONFIG)
+        assert getattr(build_sweep_spec({**cfg, key: MAX_AXIS_STEPS}), key.lower()) == 10**6
+        with pytest.raises(ConfigError, match="at most 1000000 steps each"):
+            build_sweep_spec({**cfg, key: MAX_AXIS_STEPS + 1})
 
 
 class TestSolve:
@@ -576,6 +605,53 @@ class TestExitCodes:
                     grid = [ln for ln in output.splitlines() if not ln.startswith("#")]
                     assert [len(row) for row in grid] == [3, 3, 3]
 
+    @pytest.mark.filterwarnings("ignore:eps_b \\+ kappa = 0")
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_config_keys_keep_the_contract(self, tmp_path_factory, data):
+        # the system, its coupling form, the setup, the axes and the point
+        # forces under drawn values: each command exits with a documented
+        # code and one message line or none, and on success gives each cell
+        # one row with a status and no nan or inf token
+        keys = ["eps_b", "eps_u", *data.draw(st.sampled_from(COUPLINGS)), "setup"]
+        keys += [key for key in CONTRACT_KEYS if key.startswith("F_")]
+        values = {key: data.draw(st.sampled_from(CONTRACT_KEYS[key])) for key in keys}
+        for key in data.draw(st.lists(st.sampled_from(keys), max_size=2, unique=True)):
+            bad = (BAD_STEPS if key.endswith("_steps") else ["bogus", "ICC"]
+                   if key == "setup" else BAD_VALUES)
+            values[key] = data.draw(st.sampled_from(bad))
+        common = {"beta_r": BETA_R, "mu_r": MU_R, "mu_u": MU_U,
+                  **{key: values[key] for key in keys if not key.startswith("F_")}}
+        axes = {key: values[key] for key in keys if key[:4] in ("F_E_", "F_N_")}
+        point = ({"beta_l": 1.5, "beta_u": 0.9, "mu_l": 0.2} if values["setup"] == "raw"
+                 else {"F_E": values["F_E"], "F_N": values["F_N"]})
+        tmp = tmp_path_factory.mktemp("keys")
+        for command, extra in (("sweep", axes), ("classify-map", axes), ("solve", point)):
+            cfg = write(tmp, f"{command}.cfg", with_values("", {**common, **extra}))
+            out, err = tmp / f"{command}.out", io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([command, "--config", cfg, "--out", str(out)])
+            assert code in (0, 2, 3, 4)
+            if code != 0:
+                assert err.getvalue().startswith(("config error: ", "precondition error: ",
+                                                  "numerical error: "))
+                assert err.getvalue().count("\n") == 1
+                continue
+            assert err.getvalue() == ""
+            output = out.read_text()
+            assert NON_FINITE.search(output) is None
+            if command == "solve":
+                assert parse_solve_output(output)["status"] in STATUS_WORDS.values()
+                continue
+            n_e, n_n = int(axes["F_E_steps"]), int(axes["F_N_steps"])
+            if command == "sweep":
+                rows = output.splitlines()[1:]
+                assert len(rows) == n_e * n_n
+                assert all(row.rsplit(",", 1)[1] in STATUS_WORDS.values() for row in rows)
+            else:
+                grid = [ln for ln in output.splitlines() if not ln.startswith("#")]
+                assert [len(row) for row in grid] == [n_n] * n_e
+
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_rejected(self, tmp_path, capsys, threads):
         cfg = write(tmp_path, "sweep.cfg", SWEEP_CONFIG)
@@ -640,8 +716,14 @@ class TestExitCodes:
         ("solve", RAW_CONFIG + "F_E = 0.5\n", "F_E is not accepted in the raw setup"),
         ("sweep", SWEEP_CONFIG.replace("F_E_steps = 7", "F_E_steps = 1"),
          "sweep axes need at least 2 steps each"),
+        # an axis this long used to exit 1 with numpy's allocation error
+        ("sweep", SWEEP_CONFIG.replace("F_N_steps = 5", "F_N_steps = 10000000000000"),
+         "sweep axes take at most 1000000 steps each"),
+        ("classify-map", SWEEP_CONFIG.replace("F_E_steps = 7", "F_E_steps = 10000000000000"),
+         "sweep axes take at most 1000000 steps each"),
     ], ids=["missing-key", "no-equals", "non-integer-steps", "unknown-setup",
-            "kappa-and-kappa_c", "F_E-in-raw", "one-step"])
+            "kappa-and-kappa_c", "F_E-in-raw", "one-step", "sweep-10^13-steps",
+            "map-10^13-steps"])
     def test_config_errors(self, tmp_path, capsys, command, text, message):
         cfg = write(tmp_path, "bad.cfg", text)
         out = tmp_path / "never.out"
