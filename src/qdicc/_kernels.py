@@ -14,14 +14,12 @@ fluxes (:func:`channel_fluxes`), the nine currents
 and the RK4 transient (:func:`rk4_evolve`: RK4's one-step matrix applied to
 the deviation from a stationary anchor, one matrix-vector product per step,
 with every step still policed).  The tables
-``_EXCITE``/``_RELAX``/``_LEAD``/``_LOWER``/``_UPPER``, the mask
-``_BLOCKED`` built from them and the transition energies of
-:func:`channel_energies` say which lead, which states and which energy each
-channel has; the kernels here read them, and :mod:`qdicc.kinetics` reads
-its channel index and its blocked generator entries off them.  Three
-places restate the state pairs by hand: ``engine.ring`` (the channel sums
-along each ring edge), ``engine.ring_from_generator`` (the generator
-entries of the ring edges) and ``model.TransitionTable._SIGNED``.
+``_EXCITE``/``_RELAX``/``_LEAD``/``_LOWER``/``_UPPER`` and the transition
+energies of :func:`channel_energies` say which lead, which states and which
+energy each channel has; the incidence table ``_FEEDS`` built from them
+drives the generator and the ring sums of ``engine.ring``, and its mask
+``_BLOCKED`` of the pairs no channel joins is what ``kinetics.Generator``
+and ``model.TransitionTable.omega`` reject.
 
 ``solve4``, ``steady_rho`` and ``cycle_legs`` are no longer called by the
 package: the spanning-tree steady state of :mod:`qdicc.engine` replaced the
@@ -57,9 +55,12 @@ _UPPER = np.array((1, 1, 3, 3, 2, 3))
 # the two channels of each lead (l, r, u), in table order
 _LEAD_FIRST, _LEAD_SECOND = np.argsort(_LEAD, kind="stable").reshape(3, 2).T
 
+# _FEEDS[j, i, c] is 1 where channel c carries i -> j, else 0
+_FEEDS = np.zeros((4, 4, 12))
+_FEEDS[_UPPER, _LOWER, _EXCITE] = _FEEDS[_LOWER, _UPPER, _RELAX] = 1.0
 # the off-diagonal generator entries no channel feeds: B<->C and A<->D
-_BLOCKED = ~np.eye(4, dtype=bool)
-_BLOCKED[_LOWER, _UPPER] = _BLOCKED[_UPPER, _LOWER] = False
+_BLOCKED = ~(np.eye(4, dtype=bool) | _FEEDS.any(axis=2))
+_DIAG = np.arange(4)
 
 # rk4_evolve's simplex policing: normalization drift above RENORM_TOL is
 # repaired, drift above DRIFT_TOL or a population below -NEGATIVE_TOL aborts;
@@ -112,17 +113,16 @@ def rate_vector(eps_b, eps_u, kappa, beta, mu, gamma):
 
 
 def generator_matrix(k):
-    """4x4 Markov generator W with W[j, i] = total rate i -> j.
+    """Markov generator W with W[j, i] = total rate i -> j, (4, 4, ...).
 
-    Each (lead, pair) channel of the tables above adds its excitation rate to
-    W[upper, lower] and its relaxation rate to W[lower, upper]; forbidden
-    channels (B<->C, A<->D) stay exactly zero; each diagonal entry is minus
-    its column sum so columns sum to zero identically.
+    W[j, i] sums the rates of the channels that ``_FEEDS`` says carry
+    i -> j; every entry has at most two non-zero terms, so the product is
+    exact.  Forbidden pairs (B<->C, A<->D) stay exactly zero for finite
+    rates, and each diagonal entry is minus its column sum so columns sum
+    to zero identically.
     """
-    w = np.zeros((4, 4))
-    np.add.at(w, (_UPPER, _LOWER), k[_EXCITE])
-    np.add.at(w, (_LOWER, _UPPER), k[_RELAX])
-    np.fill_diagonal(w, -w.sum(axis=0))
+    w = _FEEDS.reshape(16, 12).dot(k).reshape((4, 4) + np.shape(k)[1:])
+    w[_DIAG, _DIAG] = -w.sum(axis=0)
     return w
 
 

@@ -98,7 +98,8 @@ def parse_config_text(text: str) -> dict:
 
 def load_config(path: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        # utf-8-sig drops the byte order mark some editors write
+        with open(path, "r", encoding="utf-8-sig") as fh:
             return parse_config_text(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc

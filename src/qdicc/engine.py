@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import (L_AB, L_BA, L_CD, L_DC, R_AB, R_BA, R_CD, R_DC, U_AC,
-                       U_BD, U_CA, U_DB, channel_fluxes, currents_vector,
+from ._kernels import (_FEEDS, L_AB, L_BA, L_CD, L_DC, R_AB, R_BA, R_CD, R_DC,
+                       U_AC, U_BD, U_CA, U_DB, channel_fluxes, currents_vector,
                        rate_vector, schnakenberg)
 from .errors import (DegenerateNetworkError, DegenerateRateError,
                      LogDomainError, NumericalError, PreconditionError,
@@ -39,6 +39,10 @@ from .model import SystemParams
 
 # ring order A, B, D, C as state indices; the permutation is its own inverse
 RING = (0, 1, 3, 2)
+# the state after each ring state, and the channel-table rows of the
+# forward ring edges RING -> _SUCC followed by the backward ones
+_SUCC = RING[1:] + RING[:1]
+_RING_FEEDS = _FEEDS[_SUCC + RING, RING + _SUCC]
 
 
 class Regime(enum.Enum):
@@ -116,17 +120,16 @@ def ring(k):
     """Total forward and backward rates along the ring A->B->D->C->A, (4, ...).
 
     forward = (A->B, B->D, D->C, C->A), backward = (B->A, D->B, C->D, A->C),
-    each summed over the leads that drive the transition.
+    each summed over the channels that ``_kernels._FEEDS`` says carry it.
     """
-    fwd = np.array((k[L_AB] + k[R_AB], k[U_BD], k[L_DC] + k[R_DC], k[U_CA]))
-    bwd = np.array((k[L_BA] + k[R_BA], k[U_DB], k[L_CD] + k[R_CD], k[U_AC]))
-    return fwd, bwd
+    rates = _RING_FEEDS.dot(k)
+    return rates[:4], rates[4:]
 
 
 def ring_from_generator(w):
     """The ring rates read off the off-diagonal entries W[j, i] = rate i -> j."""
     w = np.asarray(w, dtype=float)
-    return w[(1, 3, 2, 0), (0, 1, 3, 2)], w[(0, 1, 3, 2), (1, 3, 2, 0)]
+    return w[_SUCC, RING], w[RING, _SUCC]
 
 
 def stationary(fwd, bwd):
@@ -291,8 +294,11 @@ def classify(f_e, f_n, j_e, j_n, tol_sign):
     sign * J < -tol_sign, where sign is +1 if its conjugate force is
     positive and -1 if not, taken from the other force where its own is
     zero.  Beyond the table's SECOND_LAW, the status is ZERO_FORCE for zero
-    forces carrying a current above ``tol_sign``.
+    forces carrying a current above ``tol_sign``, which must be finite and
+    non-negative (ValueError).
     """
+    if not (np.isfinite(tol_sign) and tol_sign >= 0):
+        raise ValueError(f"tol_sign must be finite and non-negative, got {tol_sign}")
     f_e, f_n, j_e, j_n = (np.asarray(v, dtype=float) for v in (f_e, f_n, j_e, j_n))
     fe_zero = np.abs(f_e) <= TOL_FORCE
     fn_zero = np.abs(f_n) <= TOL_FORCE

@@ -95,7 +95,7 @@ class SystemParams:
             warnings.warn(
                 "eps_b + kappa = 0: the C->D transition energy vanishes and "
                 "the sequential-tunneling rate picture is marginal there",
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass __init__, to its caller
             )
 
     @property
@@ -161,26 +161,15 @@ class TransitionTable:
     omega_cd: float
     omega_bd: float
 
-    _SIGNED = {
-        (StateIndex.A, StateIndex.B): ("omega_ab", +1),
-        (StateIndex.B, StateIndex.A): ("omega_ab", -1),
-        (StateIndex.A, StateIndex.C): ("omega_ac", +1),
-        (StateIndex.C, StateIndex.A): ("omega_ac", -1),
-        (StateIndex.C, StateIndex.D): ("omega_cd", +1),
-        (StateIndex.D, StateIndex.C): ("omega_cd", -1),
-        (StateIndex.B, StateIndex.D): ("omega_bd", +1),
-        (StateIndex.D, StateIndex.B): ("omega_bd", -1),
-    }
-
     def omega(self, i: StateIndex, j: StateIndex) -> float:
         """Signed transition energy for i -> j; forbidden pairs raise."""
-        try:
-            name, sign = self._SIGNED[(StateIndex(i), StateIndex(j))]
-        except KeyError:
-            raise ForbiddenTransitionError(
-                f"transition {StateIndex(i).name} -> {StateIndex(j).name} is blocked"
-            ) from None
-        return sign * getattr(self, name)
+        i, j = StateIndex(i), StateIndex(j)
+        if i == j or _kernels._BLOCKED[i, j]:
+            raise ForbiddenTransitionError(f"transition {i.name} -> {j.name} is blocked")
+        # fields are named by the pair's states in index order, and the
+        # energy is positive in the direction of rising index
+        value = getattr(self, f"omega_{min(i, j).name}{max(i, j).name}".lower())
+        return value if i < j else -value
 
 
 def eigenenergies(sys: SystemParams) -> dict[StateIndex, float]:

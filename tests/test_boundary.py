@@ -7,8 +7,8 @@ import pytest
 
 from qdicc import (CurrentSet, ForceSet, Lead, MNFactors, PopulationVector,
                    PreconditionError, RateConstants, Reservoir, SystemParams,
-                   Trajectory, cop_ideal, entropy_balance_transient, evolve,
-                   rate_constants)
+                   Trajectory, analyze_point, cop_ideal, entropy_balance_transient,
+                   evolve, rate_constants)
 
 from conftest import equal_baths
 
@@ -42,9 +42,14 @@ def two_samples():
      "j_e must hold one value per lead"),
     (lambda: cop_ideal(equal_baths(1.0, 0.0)), PreconditionError,
      "ideal COP diverges without a thermal bias"),
+    *((lambda tol=tol: analyze_point(SystemParams(1.0, 2.5, -1.5), equal_baths(1.0, 0.0),
+                                     tol_sign=tol),
+       ValueError, f"tol_sign must be finite and non-negative, got {tol}")
+      for tol in (NAN, INF, -1.0)),
 ], ids=["kappa_c-alone", "kappa-inf", "mu-nan", "11-rates", "negative-rates",
         "3-populations", "population-nan", "sample_stride-0", "force-inf", "m-zero",
-        "n-inf", "two-samples", "j_e-of-2", "cop_ideal-no-bias"])
+        "n-inf", "two-samples", "j_e-of-2", "cop_ideal-no-bias", "tol_sign-nan",
+        "tol_sign-inf", "tol_sign-negative"])
 def test_bad_input_is_rejected_at_the_boundary(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()

@@ -169,6 +169,17 @@ class TestSolve:
         assert float(record["J_N_r"]) > 0
         assert float(record["sigma_macro"]) >= -1e-12
 
+    def test_config_with_a_byte_order_mark(self, tmp_path, capsys):
+        plain = Path(__file__).resolve().parent.parent / "configs" / "pseudo_inverse_energy.cfg"
+        bom = tmp_path / "bom.cfg"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        outputs = []
+        for cfg in (plain, bom):
+            assert main(["solve", "--config", str(cfg)]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[1] == outputs[0]
+        assert outputs[0].out and not outputs[0].err
+
     def test_zero_force_point_is_equilibrium(self, tmp_path, capsys):
         cfg = write(tmp_path, "eq.cfg",
                     POINT_CONFIG.replace("F_N = 1.0", "F_N = 0.0"))

@@ -4,12 +4,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qdicc import (ForbiddenTransitionError, IntegrationError, Lead,
                    PopulationVector, StateIndex, SystemParams, evolve,
                    generator, icc_reduction, net_transition_rate,
                    rate_constants, steady_state)
-from qdicc import _kernels
+from qdicc import _kernels, engine
 from qdicc.kinetics import CHANNEL_INDEX, CHANNEL_PAIRS
 
 from conftest import equal_baths, gibbs_state, make_baths, random_baths, random_system
@@ -91,6 +94,40 @@ class TestChannelTable:
             x = res.beta * (energy[upper] - energy[lower] - res.mu)
             f = 1.0 / (1.0 + math.exp(x if i < j else -x))
             assert rc.values[idx] == pytest.approx(res.gamma * f, rel=1e-13)
+
+
+# a rate constant gamma f lies in [0, gamma]: draw it there, and from the
+# subnormals and the smallest normal, where a stray non-zero factor in a
+# table product would show
+GAMMA = 2.0
+RATES = st.one_of(st.sampled_from((0.0, 5e-324, 1e-320, np.finfo(float).tiny)),
+                  st.floats(0.0, GAMMA))
+
+
+def oracle_generator(k):
+    """W[j, i] from TestChannelTable.INDEX, each rate added in lead order
+    l, r, u, and each diagonal entry minus its column sum."""
+    w = np.zeros((4, 4) + k.shape[1:])
+    for (_lead, i, j), idx in TestChannelTable.INDEX.items():
+        w[j, i] = w[j, i] + k[idx]
+    for i in range(4):
+        w[i, i] = -(w[0, i] + w[1, i] + w[2, i] + w[3, i])
+    return w
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, st.one_of(st.just((12,)), st.tuples(st.just(12), st.integers(1, 6))),
+              elements=RATES))
+def test_table_products_are_exact(k):
+    # the generator and the ring sums come from the channel table by matrix
+    # products; both must give the bits of the entry-by-entry sums
+    w = _kernels.generator_matrix(k)
+    assert w.tobytes() == oracle_generator(k).tobytes()
+    ring = np.concatenate(engine.ring(k))
+    assert ring.tobytes() == np.concatenate(engine.ring_from_generator(w)).tobytes()
+    for n in range(k.shape[1] if k.ndim == 2 else 0):
+        column = np.concatenate(engine.ring_from_generator(_kernels.generator_matrix(k[:, n])))
+        assert ring[:, n].tobytes() == column.tobytes()
 
 
 class TestGenerator:

@@ -50,8 +50,10 @@ class TestSystemParams:
             _ = sys.theta
 
     def test_degenerate_transition_warns(self):
-        with pytest.warns(UserWarning, match="eps_b \\+ kappa = 0"):
+        with pytest.warns(UserWarning, match="eps_b \\+ kappa = 0") as record:
             SystemParams(eps_b=1.0, eps_u=2.5, kappa=-1.0)
+        # the warning points at the caller, not at the generated __init__
+        assert record[0].filename == __file__
 
 
 class TestEigenenergies:
@@ -102,14 +104,34 @@ class TestTransitionEnergies:
             assert tt.omega_ac - tt.omega_ab == pytest.approx(eps_u - eps_b, abs=1e-14)
             assert tt.omega_bd - tt.omega_cd == pytest.approx(eps_u - eps_b, abs=1e-14)
 
+    # the signed energy of each allowed transition written out by hand: the
+    # oracle for omega, which reads the pairs off the channel tables
+    A, B, C, D = StateIndex
+    SIGNED = {
+        (A, B): ("omega_ab", +1), (B, A): ("omega_ab", -1),
+        (A, C): ("omega_ac", +1), (C, A): ("omega_ac", -1),
+        (C, D): ("omega_cd", +1), (D, C): ("omega_cd", -1),
+        (B, D): ("omega_bd", +1), (D, B): ("omega_bd", -1),
+    }
+
     def test_signed_lookup_and_forbidden_pairs(self):
         tt = transition_energies(SystemParams(eps_b=1.0, eps_u=2.5, kappa=-1.5))
         assert tt.omega(StateIndex.A, StateIndex.B) == 1.0
         assert tt.omega(StateIndex.B, StateIndex.A) == -1.0
         assert tt.omega(StateIndex.D, StateIndex.C) == 0.5
-        for i, j in ((StateIndex.B, StateIndex.C), (StateIndex.A, StateIndex.D)):
-            with pytest.raises(ForbiddenTransitionError):
-                tt.omega(i, j)
+        # all 16 ordered pairs, at four distinct non-zero energies so that a
+        # wrong field or sign shows
+        tt = transition_energies(SystemParams(eps_b=1.0, eps_u=2.5, kappa=-0.25))
+        assert len({tt.omega_ab, tt.omega_ac, tt.omega_cd, tt.omega_bd, 0.0}) == 5
+        for i in StateIndex:
+            for j in StateIndex:
+                if (i, j) in self.SIGNED:
+                    name, sign = self.SIGNED[(i, j)]
+                    assert tt.omega(i, j) == sign * getattr(tt, name)
+                else:
+                    with pytest.raises(ForbiddenTransitionError,
+                                       match=f"^transition {i.name} -> {j.name} is blocked$"):
+                        tt.omega(i, j)
 
 
 class TestFermiFactors:
