@@ -73,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--threads", type=_worker_count, default=1,
                          help="worker processes for sweeps (default 1; at most "
                               "one per F_E line and per CPU)")
-        cmd.add_argument("--tol-sign", type=_tolerance, default=1e-10,
+        cmd.add_argument("--tol-sign", type=_tolerance, default=engine.TOL_SIGN,
                          help="current magnitude treated as numerically zero")
     return parser
 

@@ -44,16 +44,13 @@ COLUMNS: tuple[str, ...] = (
     "res_JE", "res_JN", "status",
 )
 
-_FLOAT_KEYS = {
-    "eps_b", "eps_u", "kappa", "kappa_c", "kappa_s",
-    "beta_r", "mu_r", "mu_u", "gamma",
-    "F_E", "F_N",
-    "F_E_min", "F_E_max", "F_N_min", "F_N_max",
-    "beta_l", "beta_u", "mu_l",
+# each key, the type its value is read as and what that value must be
+_KEYS = {
+    **dict.fromkeys("eps_b eps_u kappa kappa_c kappa_s beta_r mu_r mu_u gamma F_E F_N F_E_min "
+                    "F_E_max F_N_min F_N_max beta_l beta_u mu_l".split(), (float, "a number")),
+    **dict.fromkeys("F_E_steps F_N_steps".split(), (int, "an integer")),
+    "setup": (str, "text"),
 }
-_INT_KEYS = {"F_E_steps", "F_N_steps"}
-_STR_KEYS = {"setup"}
-KNOWN_KEYS = _FLOAT_KEYS | _INT_KEYS | _STR_KEYS
 
 SETUPS = ("icc", "thermoelectric", "raw")
 
@@ -74,22 +71,15 @@ def parse_config_text(text: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in KNOWN_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in cfg:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        if key in _STR_KEYS:
-            cfg[key] = value
-        elif key in _INT_KEYS:
-            try:
-                cfg[key] = int(value)
-            except ValueError:
-                raise ConfigError(f"line {lineno}: {key} needs an integer, got {value!r}") from None
-        else:
-            try:
-                cfg[key] = float(value)
-            except ValueError:
-                raise ConfigError(f"line {lineno}: {key} needs a number, got {value!r}") from None
+        kind, needs = _KEYS[key]
+        try:
+            cfg[key] = kind(value)
+        except ValueError:
+            raise ConfigError(f"line {lineno}: {key} needs {needs}, got {value!r}") from None
     setup = cfg.setdefault("setup", "icc")
     if setup not in SETUPS:
         raise ConfigError(f"setup must be one of {SETUPS}, got {setup!r}")
@@ -126,12 +116,6 @@ def build_system(cfg: dict) -> SystemParams:
     return SystemParams(eps_b=cfg["eps_b"], eps_u=cfg["eps_u"], kappa=cfg["kappa"])
 
 
-def _leads(cfg: dict) -> tuple[float, float, float, float]:
-    """(beta_r, mu_r, mu_u, gamma) with their documented defaults."""
-    _require(cfg, "beta_r", "mu_r")
-    return cfg["beta_r"], cfg["mu_r"], cfg.get("mu_u", cfg["mu_r"]), cfg.get("gamma", 1.0)
-
-
 def point_baths(cfg: dict, f_e, f_n):
     """Baths realizing forces (f_e, f_n) in the configured setup.
 
@@ -143,7 +127,9 @@ def point_baths(cfg: dict, f_e, f_n):
     beta that is not positive raises ValueError naming the first such
     force.  The engine's BAD_BATHS gate checks everything else.
     """
-    beta_r, mu_r, mu_u, gamma = _leads(cfg)
+    _require(cfg, "beta_r", "mu_r")
+    beta_r, mu_r = cfg["beta_r"], cfg["mu_r"]
+    mu_u, gamma = cfg.get("mu_u", mu_r), cfg.get("gamma", 1.0)
     setup = cfg["setup"]
     if setup == "icc":
         beta, mu_l = invert_forces(f_e, f_n, beta_r, mu_r)
@@ -190,12 +176,17 @@ class SweepSpec:
             raise ConfigError("sweep axes need at least 2 steps each")
         if self.f_e_steps > MAX_AXIS_STEPS or self.f_n_steps > MAX_AXIS_STEPS:
             raise ConfigError(f"sweep axes take at most {MAX_AXIS_STEPS} steps each")
+        if not np.isfinite([self.f_e_max - self.f_e_min, self.f_n_max - self.f_n_min]).all():
+            raise ConfigError("sweep axes need a finite span max - min each")
 
+    # with a finite span only the last point can overflow, and linspace sets it to max
     def f_e_values(self) -> np.ndarray:
-        return np.linspace(self.f_e_min, self.f_e_max, self.f_e_steps)
+        with np.errstate(over="ignore"):
+            return np.linspace(self.f_e_min, self.f_e_max, self.f_e_steps)
 
     def f_n_values(self) -> np.ndarray:
-        return np.linspace(self.f_n_min, self.f_n_max, self.f_n_steps)
+        with np.errstate(over="ignore"):
+            return np.linspace(self.f_n_min, self.f_n_max, self.f_n_steps)
 
 
 def build_sweep_spec(cfg: dict) -> SweepSpec:
@@ -264,27 +255,6 @@ def _slack(info: np.finfo) -> np.ndarray:
     return 2.0 ** 55 * eps + np.where(exact_power, 0.0, 1e17 * eps / 2) + 2.0 ** -52
 
 
-def _exponent_words() -> np.ndarray:
-    """"e±EE[E]," of each exponent, NUL-padded to 2 words: (2, exponents)."""
-    text = np.zeros((len(_EXPONENTS), 8), np.uint8)
-    size = np.abs(_EXPONENTS)
-    text[:, 0] = ord("e")
-    text[:, 1] = np.where(_EXPONENTS < 0, ord("-"), ord("+"))
-    text[:, 2] = np.where(size >= 100, size // 100 + ord("0"), 0)
-    text[:, 3] = size // 10 % 10 + ord("0")
-    text[:, 4] = size % 10 + ord("0")
-    text[:, 5] = ord(",")
-    return text.view(_WORD).T.copy()
-
-
-def _digit_words() -> np.ndarray:
-    """"0000" to "9999" as one word each."""
-    text = np.empty((10, 10, 10, 10, 4), np.uint8)
-    for place in range(4):
-        text[..., place] = np.arange(ord("0"), ord("9") + 1).reshape((10,) + (1,) * (3 - place))
-    return text.reshape(10_000, 4).view(_WORD)[:, 0]
-
-
 def _fixed(words: list[bytes], width: int) -> np.ndarray:
     """Byte strings NUL-padded to ``width`` bytes, as rows of words."""
     return np.array(words, dtype=f"S{width}").view(np.uint8).reshape(-1, width).view(_WORD)
@@ -294,10 +264,13 @@ def _fixed(words: list[bytes], width: int) -> np.ndarray:
 _SCALE = np.fromstring(" ".join([f"1e{16 - e}" for e in _EXPONENTS.tolist()]),
                        dtype=np.longdouble, sep=" ")
 _SLACK = _slack(np.finfo(np.longdouble))
-_EXPONENT = _exponent_words()
+# "e±EE[E]," of each exponent, as "%.16e" writes it: (2 words, exponents)
+_EXPONENT = _fixed([b"e%+03d," % e for e in _EXPONENTS.tolist()], 8).T.copy()
 _LEAD = _fixed([b"%s%d." % (sign, d) for sign in (b"", b"-") for d in range(10)],
               4)[:, 0]  # "[-]d." at 10·sign + d
-_DIGITS = _digit_words()
+# "0000" to "9999" as one word each: the digit on axis k is byte k of the word
+_DIGITS = sum(np.arange(ord("0"), ord("9") + 1, dtype=_WORD).reshape((10,) + (1,) * (3 - k))
+              << 8 * k for k in range(4)).astype("<u4").view(_WORD).ravel()
 _BLANK = _fixed([b","], 28)[0]
 _REGIME_CELLS = _fixed([r.value.encode() + b"," for r in REGIMES] + [b","], 20)
 _STATUS_CELLS = _fixed([STATUS_WORDS[code].encode() + b"\n"

@@ -64,18 +64,14 @@ REGIMES: tuple[Regime, ...] = tuple(Regime)
 
 # Per-row status codes: 0 is ok, every other code names the gate a row
 # failed, numbered in the order the point pipeline meets its gates.
-# BAD_RATES is raised only by kinetics.RateConstants: a row that passes
-# BAD_BATHS has every rate gamma f(x) in [0, gamma], since x = beta (omega -
-# mu) is never NaN and the Fermi occupations map it into [0, 1].
-(OK, BAD_BATHS, BAD_RATES, DEGENERATE, RESIDUAL, LEGS, XY, MN_DENOMINATOR,
- MN_RANGE, MACRO, LOG_DOMAIN, UNREDUCED, PQ_RANGE, ZERO_FORCE, SECOND_LAW,
- NONFINITE) = range(16)
+(OK, BAD_BATHS, DEGENERATE, RESIDUAL, LEGS, XY, MN_DENOMINATOR, MN_RANGE,
+ MACRO, LOG_DOMAIN, UNREDUCED, PQ_RANGE, ZERO_FORCE, SECOND_LAW,
+ NONFINITE) = range(15)
 
 # the typed exception and message each failing status stands for
 ERRORS: dict[int, tuple[type[Exception], str]] = {
     BAD_BATHS: (ValueError, "bath parameters and forces must be finite, "
                             "with beta > 0 and gamma > 0"),
-    BAD_RATES: (ValueError, "rate constants must be finite and non-negative"),
     DEGENERATE: (DegenerateNetworkError,
                  "steady state is degenerate: the spanning-tree "
                  "normalization is zero or not finite"),
@@ -102,6 +98,8 @@ ERRORS: dict[int, tuple[type[Exception], str]] = {
 
 # a force of at most this magnitude counts as zero
 TOL_FORCE = 1e-12
+# the default magnitude a current must exceed to count as nonzero
+TOL_SIGN = 1e-10
 
 
 def raise_for_status(code) -> None:
@@ -364,7 +362,7 @@ class Batch:
     res_j_n: np.ndarray
 
 
-def evaluate(sys: SystemParams, beta, mu, gamma, tol_sign: float = 1e-10) -> Batch:
+def evaluate(sys: SystemParams, beta, mu, gamma, tol_sign: float = TOL_SIGN) -> Batch:
     """Solve and classify N bath configurations in one array pass.
 
     ``beta``, ``mu`` and ``gamma`` are (l, r, u) triples whose entries are

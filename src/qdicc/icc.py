@@ -98,7 +98,7 @@ def pq_ratio(rc: RateConstants) -> float:
     return float(ratio)
 
 
-def classify(fs: ForceSet, cs: CurrentSet, tol_sign: float = 1e-10) -> Regime:
+def classify(fs: ForceSet, cs: CurrentSet, tol_sign: float = engine.TOL_SIGN) -> Regime:
     """Assign a regime label from the two-force set and right-lead currents.
 
     ``tol_sign`` separates numerically zero currents from genuine signals;
@@ -184,7 +184,7 @@ class IccPoint:
 
 
 def analyze_point(sys: SystemParams, baths: BathConfig,
-                  tol_sign: float = 1e-10) -> IccPoint:
+                  tol_sign: float = engine.TOL_SIGN) -> IccPoint:
     """Solve one configuration end to end and classify it.
 
     A 1-point view of :func:`qdicc.engine.evaluate`: a failing gate raises

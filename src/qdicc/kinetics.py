@@ -8,6 +8,7 @@ k_ij + k_ji = gamma_lam.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,7 @@ class RateConstants:
         if v.shape != (12,):
             raise ValueError(f"expected 12 channel rates, got shape {v.shape}")
         if not (np.isfinite(v) & (v >= 0.0)).all():
-            engine.raise_for_status(engine.BAD_RATES)
+            raise ValueError("rate constants must be finite and non-negative")
         object.__setattr__(self, "values", v)
 
     def rate(self, lead: Lead, i: StateIndex, j: StateIndex) -> float:
@@ -163,7 +164,8 @@ def evolve(rho0, w, dt: float, t_end: float, sample_stride: int = 1) -> Trajecto
     renormalizing, while drift beyond 1e-9 or a population below -1e-9
     makes the kernel itself raise :class:`IntegrationError` (shrink dt),
     which reaches the caller unchanged.  Samples are recorded every
-    ``sample_stride`` steps plus the initial and final states.
+    ``sample_stride`` steps (an integer >= 1) plus the initial and final
+    states.
     ``rho0`` is four finite populations (a :class:`PopulationVector` or any
     sequence) on the simplex within the integrator's tolerances: they sum
     to 1 within 1e-9 and none is below -1e-9, or a ``ValueError`` names
@@ -185,6 +187,8 @@ def evolve(rho0, w, dt: float, t_end: float, sample_stride: int = 1) -> Trajecto
                          f"more than MAX_STEPS = {MAX_STEPS}")
     if t_end < dt:
         raise ValueError(f"t_end must be at least dt, got t_end={t_end}, dt={dt}")
+    if not isinstance(sample_stride, numbers.Integral):
+        raise ValueError(f"sample_stride must be an integer, got {sample_stride}")
     if sample_stride < 1:
         raise ValueError("sample_stride must be >= 1")
     rho_arr = rho0.values if isinstance(rho0, PopulationVector) else np.asarray(rho0, float)

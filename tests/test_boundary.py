@@ -34,6 +34,9 @@ def two_samples():
      "populations must be finite"),
     (lambda: evolve(np.full(4, 0.25), np.zeros((4, 4)), dt=0.1, t_end=1.0, sample_stride=0),
      ValueError, "sample_stride must be >= 1"),
+    *((lambda stride=stride: evolve(np.full(4, 0.25), np.zeros((4, 4)), dt=0.1, t_end=1.0,
+                                    sample_stride=stride),
+       ValueError, f"sample_stride must be an integer, got {stride}") for stride in (INF, 2.5)),
     (lambda: ForceSet(INF, 0.0, 0.0), ValueError, "f_e_u must be finite"),
     (lambda: MNFactors(0.0, 1.0), ValueError, "m must be positive and finite, got 0.0"),
     (lambda: MNFactors(1.0, INF), ValueError, "n must be positive and finite, got inf"),
@@ -47,7 +50,8 @@ def two_samples():
        ValueError, f"tol_sign must be finite and non-negative, got {tol}")
       for tol in (NAN, INF, -1.0)),
 ], ids=["kappa_c-alone", "kappa-inf", "mu-nan", "11-rates", "negative-rates",
-        "3-populations", "population-nan", "sample_stride-0", "force-inf", "m-zero",
+        "3-populations", "population-nan", "sample_stride-0", "sample_stride-inf",
+        "sample_stride-2.5", "force-inf", "m-zero",
         "n-inf", "two-samples", "j_e-of-2", "cop_ideal-no-bias", "tol_sign-nan",
         "tol_sign-inf", "tol_sign-negative"])
 def test_bad_input_is_rejected_at_the_boundary(call, error, message):

@@ -158,6 +158,15 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="at most 1000000 steps each"):
             build_sweep_spec({**cfg, key: MAX_AXIS_STEPS + 1})
 
+    def test_axis_spanning_the_float_range(self):
+        # linspace's product for the last point overflows, and is replaced
+        # by the axis maximum: every point is finite, without a warning
+        top = sys.float_info.max
+        spec = build_sweep_spec({**parse_config_text(SWEEP_CONFIG), "F_N_min": 0.0,
+                                 "F_N_max": top, "F_N_steps": 7})
+        values = spec.f_n_values()
+        assert np.isfinite(values).all() and values[0] == 0.0 and values[-1] == top
+
 
 class TestSolve:
     def test_pseudo_inverse_point(self, tmp_path, capsys):
@@ -732,9 +741,15 @@ class TestExitCodes:
          "sweep axes take at most 1000000 steps each"),
         ("classify-map", SWEEP_CONFIG.replace("F_E_steps = 7", "F_E_steps = 10000000000000"),
          "sweep axes take at most 1000000 steps each"),
+        # a span past the float range used to write inf and nan forces
+        ("sweep", SWEEP_CONFIG.replace("F_N_min = 0.1", "F_N_min = -1e308")
+         .replace("F_N_max = 1.9", "F_N_max = 1e308"), "sweep axes need a finite span"),
+        ("classify-map", SWEEP_CONFIG.replace("F_E_min = 0.1", "F_E_min = 1e308")
+         .replace("F_E_max = 1.9", "F_E_max = -1e308"), "sweep axes need a finite span"),
     ], ids=["missing-key", "no-equals", "non-integer-steps", "unknown-setup",
             "kappa-and-kappa_c", "F_E-in-raw", "one-step", "sweep-10^13-steps",
-            "map-10^13-steps"])
+            "map-10^13-steps", "sweep-span-past-the-float-range",
+            "map-span-past-the-float-range"])
     def test_config_errors(self, tmp_path, capsys, command, text, message):
         cfg = write(tmp_path, "bad.cfg", text)
         out = tmp_path / "never.out"

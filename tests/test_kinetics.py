@@ -410,6 +410,12 @@ class TestEvolve:
         with pytest.raises(ValueError, match="finite"):
             evolve([0.25, 0.25, 0.25, 0.25], w_bad, dt=1e-3, t_end=0.01)
 
+    @pytest.mark.parametrize("stride", [3, np.int64(3)], ids=["int", "numpy-int64"])
+    def test_integer_stride_of_either_type(self, stride):
+        traj = evolve(np.full(4, 0.25), np.zeros((4, 4)), dt=0.1, t_end=1.0,
+                      sample_stride=stride)
+        assert np.allclose(traj.times, [0.0, 0.3, 0.6, 0.9, 1.0])
+
     def test_rho0_must_hold_four_values(self):
         with pytest.raises(ValueError, match="rho0"):
             evolve([0.5, 0.5], np.zeros((4, 4)), dt=0.01, t_end=0.1)

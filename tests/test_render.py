@@ -58,6 +58,23 @@ _draws = np.ldexp(_rng.integers(2 ** 52, 2 ** 53, 20_000).astype(float),
                   _rng.integers(-185, 81, 20_000)).tolist()
 NEAR_TIES = [x for x in _draws if abs(scaled_fraction(x) - 0.5) < 0.012]
 
+
+def on_the_fast_path(x: float) -> float:
+    """The first of ``x`` and the 3 doubles above it whose 17 digits the
+    renderer takes as exact; ``x`` where none is."""
+    candidates = [x]
+    for _ in range(3):
+        candidates.append(float(np.nextafter(candidates[-1], np.inf)))
+    return candidates[config._significands(np.array(candidates).reshape(-1, 1))[2].argmax()]
+
+
+# one value of each sign at each exponent E = floor(log10|x|) of a finite
+# double, on the fast path, its lead digit cycling through 1-9 where the
+# float range allows; zero of each sign takes the fast path too
+EVERY_EXPONENT = [sign * on_the_fast_path(float(
+    f"{1 + e % 9 if config._E_MIN < e < config._E_MAX else 9 if e < 0 else 1}.5e{e}"))
+    for e in config._EXPONENTS.tolist() for sign in (1.0, -1.0)] + [0.0, -0.0]
+
 MAGNITUDES = st.one_of(
     st.integers(0, 2 ** 64 - 1).map(from_bits),                     # any bit pattern
     st.sampled_from([0.0, -0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
@@ -82,8 +99,15 @@ def test_cells_equal_percent_format(values):
 
 def test_cells_equal_percent_format_in_bulk():
     bits = np.random.default_rng(1).integers(0, 2 ** 64, 100_000, dtype=np.uint64)
-    values = bits.view(np.float64).tolist() + NEAR_TIES
+    values = bits.view(np.float64).tolist() + NEAR_TIES + EVERY_EXPONENT
     assert cells(values) == ["%.16e" % x for x in values]
+    # every exponent row and every lead word is read by a fast-path cell
+    exact = config._significands(np.array(EVERY_EXPONENT).reshape(-1, 1))[2]
+    if config._SLACK.max() < 0.5:  # long double is wider than double
+        assert np.count_nonzero(exact) == len(EVERY_EXPONENT) - 2  # all but the zeros
+    texts = ["%.16e" % x for x in EVERY_EXPONENT]
+    assert len({t.split("e")[1] for t in texts}) == len(config._EXPONENTS)
+    assert len({t.split(".")[0] for t in texts}) == 20
 
 
 def test_near_ties_reach_the_percent_path():
