@@ -12,8 +12,8 @@ formula vectorizes over a whole grid.
 Arrays are channel-major: rates are (12, ...) in the channel order of
 :mod:`qdicc._kernels`, populations (4, ...) in state order A, B, C, D.  The
 same functions therefore serve one point (rates of shape (12,)) and a batch
-(shape (12, N)).  Rates, channel fluxes, currents and the network-form
-entropy come from the array kernels of :mod:`qdicc._kernels`.
+(shape (12, N)).  Rates, the generator, channel fluxes, currents and the
+network-form entropy come from the array kernels of :mod:`qdicc._kernels`.
 
 Per-point failures never raise here.  Each stage that owns a gate returns
 a per-row status code next to its values, and :func:`evaluate` keeps the
@@ -29,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import (_FEEDS, L_AB, L_BA, L_CD, L_DC, R_AB, R_BA, R_CD, R_DC,
-                       U_AC, U_BD, U_CA, U_DB, channel_fluxes, currents_vector,
-                       rate_vector, schnakenberg)
+from ._kernels import (L_AB, L_BA, L_CD, L_DC, R_AB, R_BA, R_CD, R_DC, U_AC,
+                       U_BD, U_CA, U_DB, channel_fluxes, currents_vector,
+                       generator_matrix, rate_vector, schnakenberg)
 from .errors import (DegenerateNetworkError, DegenerateRateError,
                      LogDomainError, NumericalError, PreconditionError,
                      SecondLawViolationError)
@@ -39,10 +39,8 @@ from .model import SystemParams
 
 # ring order A, B, D, C as state indices; the permutation is its own inverse
 RING = (0, 1, 3, 2)
-# the state after each ring state, and the channel-table rows of the
-# forward ring edges RING -> _SUCC followed by the backward ones
+# the state after each ring state
 _SUCC = RING[1:] + RING[:1]
-_RING_FEEDS = _FEEDS[_SUCC + RING, RING + _SUCC]
 
 
 class Regime(enum.Enum):
@@ -114,32 +112,19 @@ def raise_for_status(code) -> None:
 _PREV1, _PREV2, _NEXT1 = np.array((3, 0, 1, 2)), np.array((2, 3, 0, 1)), np.array((1, 2, 3, 0))
 
 
-def ring(k):
-    """Total forward and backward rates along the ring A->B->D->C->A, (4, ...).
-
-    forward = (A->B, B->D, D->C, C->A), backward = (B->A, D->B, C->D, A->C),
-    each summed over the channels that ``_kernels._FEEDS`` says carry it.
-    """
-    rates = _RING_FEEDS.dot(k)
-    return rates[:4], rates[4:]
-
-
-def ring_from_generator(w):
-    """The ring rates read off the off-diagonal entries W[j, i] = rate i -> j."""
-    w = np.asarray(w, dtype=float)
-    return w[_SUCC, RING], w[RING, _SUCC]
-
-
-def stationary(fwd, bwd):
+def stationary(w):
     """Spanning-tree steady state of the ring, with its consistency gates.
 
-    ``fwd`` and ``bwd`` are the (4, ...) ring rates of :func:`ring`.  Returns
+    ``w`` is a generator of shape (4, 4, ...) with W[j, i] the total rate
+    i -> j; only its ring entries are read, the forward rates (A->B, B->D,
+    D->C, C->A) and the backward ones (B->A, D->B, C->D, A->C).  Returns
     (rho, gamma_cw, legs, status): populations (4, ...) in state order, the
     clockwise cycle flux, the four cycle-leg net rates in ring order (A->B,
     B->D, D->C, C->A), and a status that is DEGENERATE where Z is zero or
     not finite, RESIDUAL where |W rho| exceeds 1e-12 times the largest
     rate, and LEGS where a leg differs from the cycle flux by more than that.
     """
+    fwd, bwd = w[_SUCC, RING], w[RING, _SUCC]
     with np.errstate(all="ignore"):
         f1 = fwd[_PREV1]
         f12 = f1 * fwd[_PREV2]
@@ -379,7 +364,7 @@ def evaluate(sys: SystemParams, beta, mu, gamma, tol_sign: float = TOL_SIGN) -> 
                       & (beta > 0).all(axis=0) & (gamma > 0).all(axis=0))
         k = rate_vector(sys.eps_b, sys.eps_u, sys.kappa, beta, mu, gamma)
 
-        rho, gamma_cw, legs, ss_status = stationary(*ring(k))
+        rho, gamma_cw, legs, ss_status = stationary(generator_matrix(k))
 
         g = channel_fluxes(k, rho)
         cur = currents_vector(g, sys.eps_b, sys.eps_u, sys.kappa, mu)

@@ -39,7 +39,7 @@ class NumericalError(QdiccError):
 
 
 class DegenerateNetworkError(NumericalError):
-    """The steady-state linear system is singular or near-singular."""
+    """No unique steady state: the spanning-tree normalization is zero or not finite."""
 
 
 class IntegrationError(NumericalError):

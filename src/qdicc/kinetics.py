@@ -67,11 +67,7 @@ class PopulationVector:
     NORM_TOL = 1e-12
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (4,):
-            raise ValueError(f"expected 4 populations, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("populations must be finite")
+        v = population_values(self.values)
         if np.any(v < -self.NEGATIVE_TOL):
             raise ValueError(f"negative population beyond tolerance: {v}")
         if abs(v.sum() - 1.0) > self.NORM_TOL:
@@ -80,6 +76,19 @@ class PopulationVector:
 
     def __getitem__(self, state: StateIndex) -> float:
         return float(self.values[StateIndex(state)])
+
+
+def population_values(rho) -> np.ndarray:
+    """Four finite populations, on or off the simplex, as a float array;
+    other input raises the ``ValueError`` of :class:`PopulationVector`."""
+    if isinstance(rho, PopulationVector):
+        return rho.values
+    v = np.asarray(rho, dtype=float)
+    if v.shape != (4,):
+        raise ValueError(f"expected 4 populations, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValueError("populations must be finite")
+    return v
 
 
 @dataclass(frozen=True)
@@ -131,7 +140,7 @@ def net_transition_rate(rc: RateConstants, rho, i: StateIndex, j: StateIndex,
     Antisymmetric under channel reversal.  Vanishes channel by channel at
     global equilibrium (detailed balance).
     """
-    values = rho.values if isinstance(rho, PopulationVector) else np.asarray(rho, float)
+    values = population_values(rho)
     k_fwd = rc.rate(lead, i, j)
     k_bwd = rc.rate(lead, j, i)
     return k_fwd * float(values[StateIndex(i)]) - k_bwd * float(values[StateIndex(j)])
@@ -203,7 +212,7 @@ def evolve(rho0, w, dt: float, t_end: float, sample_stride: int = 1) -> Trajecto
         raise ValueError(f"rho0 must sum to 1 within {_kernels.DRIFT_TOL:g} with no "
                          f"population below {-_kernels.NEGATIVE_TOL:g}, got {v}")
     w_arr = (w if isinstance(w, Generator) else Generator(w)).matrix
-    rho_ss, _, _, status = engine.stationary(*engine.ring_from_generator(w_arr))
+    rho_ss, _, _, status = engine.stationary(w_arr)
     anchor = rho_ss if status == engine.OK else np.zeros(4)
     n_steps = int(round(steps))
     times, samples = _kernels.rk4_evolve(

@@ -32,9 +32,9 @@ class SteadyState:
 def steady_state(w: Generator) -> SteadyState:
     """Stationary point of the generator, with cycle-flux consistency checks.
 
-    A 1-point view of :func:`qdicc.engine.stationary` over the ring rates in
-    the off-diagonal entries of W.  Raises :class:`DegenerateNetworkError`
-    when the spanning-tree normalization Z is zero or not finite, and
+    A 1-point view of :func:`qdicc.engine.stationary`, which reads the ring
+    rates off W.  Raises :class:`DegenerateNetworkError` when the
+    spanning-tree normalization Z is zero or not finite, and
     :class:`NumericalError` when |W rho| or the spread of the four cycle
     legs exceeds 1e-12 times the largest rate, which would indicate a
     corrupted generator rather than roundoff.  ``w`` is a :class:`Generator`;
@@ -42,7 +42,7 @@ def steady_state(w: Generator) -> SteadyState:
     does, and a ``ValueError`` names the first failure.
     """
     w_arr = (w if isinstance(w, Generator) else Generator(w)).matrix
-    rho, gamma_cw, legs, status = engine.stationary(*engine.ring_from_generator(w_arr))
+    rho, gamma_cw, legs, status = engine.stationary(w_arr)
     engine.raise_for_status(status)
     return SteadyState(rho=PopulationVector(rho), gamma_cw=float(gamma_cw), legs=legs)
 
@@ -60,7 +60,8 @@ def cycle_flux_closed_form(sys: SystemParams, baths: BathConfig) -> float:
     which agrees with the spanning-tree steady state identically (the
     denominator is the negated spanning-tree normalization, the numerator
     the negated cycle affinity imbalance).  Requires gamma_l = gamma_r =
-    gamma_u.
+    gamma_u, and raises :class:`DegenerateNetworkError` where the
+    denominator vanishes.
     """
     (b_l, b_r, b_u), (m_l, m_r, m_u), (g_l, g_r, g_u) = baths.triples
     gmax = max(g_l, g_r, g_u)
@@ -78,4 +79,6 @@ def cycle_flux_closed_form(sys: SystemParams, baths: BathConfig) -> float:
     f1, f2, g1, g2 = f[0] + f[1], f[2] + f[3], f[4], f[5]
     num = f1 * (f2 * (g2 - g1) + 2.0 * g2 * (g1 - 1.0)) - 2.0 * g1 * f2 * (g2 - 1.0)
     den = 3.0 * f1 * (g1 - g2) - 6.0 + 3.0 * f2 * (g2 - g1)
+    if den == 0.0:
+        engine.raise_for_status(engine.DEGENERATE)
     return float(gamma * num / den)

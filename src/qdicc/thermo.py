@@ -26,7 +26,7 @@ import numpy as np
 
 from . import _kernels, engine
 from .errors import UndefinedForceError
-from .kinetics import PopulationVector, RateConstants, Trajectory
+from .kinetics import RateConstants, Trajectory, population_values
 from .model import BathConfig, SystemParams
 from .transport import CurrentSet
 
@@ -152,7 +152,7 @@ def _network_form(rc: RateConstants, rho):
     log domain; the kernel's warnings are masked and the callers check that
     what they return is finite.
     """
-    values = rho.values if isinstance(rho, PopulationVector) else np.asarray(rho, float)
+    values = population_values(rho)
     engine.raise_for_status(engine.log_domain(rc.values, values))
     with np.errstate(all="ignore"):
         return _kernels.schnakenberg(rc.values, values)
@@ -202,6 +202,9 @@ def entropy_balance_transient(trajectory: Trajectory,
     """
     times = np.asarray(trajectory.times, float)
     pops = np.asarray(trajectory.populations, float)
+    if pops.shape != (len(times), 4):
+        raise ValueError(f"expected populations of shape ({len(times)}, 4), "
+                         f"got shape {pops.shape}")
     if len(times) < 3:
         raise ValueError("need at least three samples for a centered difference")
     # one status per sample: any sample on the simplex boundary raises

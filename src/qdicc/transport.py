@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .kinetics import PopulationVector, RateConstants
+from .kinetics import RateConstants, population_values
 from .model import BathConfig, SystemParams
 from .steadystate import SteadyState
 
@@ -85,9 +85,8 @@ def currents(rc: RateConstants, ss: SteadyState, sys: SystemParams,
     upper-dot channels by eps_u and eps_u + kappa; J_N counts the same
     fluxes unweighted; J_Q subtracts mu_lam per transported particle.
     """
-    rho = ss.rho.values if isinstance(ss.rho, PopulationVector) else np.asarray(ss.rho)
-    out = _kernels.currents_vector(_kernels.channel_fluxes(rc.values, rho),
-                                   sys.eps_b, sys.eps_u, sys.kappa, baths.triples[1])
+    g = _kernels.channel_fluxes(rc.values, population_values(ss.rho))
+    out = _kernels.currents_vector(g, sys.eps_b, sys.eps_u, sys.kappa, baths.triples[1])
     return CurrentSet(j_e=out[0:3], j_n=out[3:6], j_q=out[6:9])
 
 

@@ -6,18 +6,22 @@ import numpy as np
 import pytest
 
 from qdicc import (CurrentSet, ForceSet, Lead, MNFactors, PopulationVector,
-                   PreconditionError, RateConstants, Reservoir, SystemParams,
-                   Trajectory, analyze_point, cop_ideal, entropy_balance_transient,
-                   evolve, rate_constants)
+                   PreconditionError, RateConstants, Reservoir, StateIndex,
+                   SteadyState, SystemParams, Trajectory, analyze_point, cop_ideal,
+                   currents, entropy_balance_transient, entropy_production_micro,
+                   evolve, net_transition_rate, rate_constants, schnakenberg_terms)
 
 from conftest import equal_baths
 
 NAN, INF = float("nan"), float("inf")
 
 
+SYS = SystemParams(1.0, 2.5, -1.5)
+RC = rate_constants(SYS, equal_baths(1.0, 0.0))
+
+
 def two_samples():
-    rc = rate_constants(SystemParams(1.0, 2.5, -1.5), equal_baths(1.0, 0.0))
-    return entropy_balance_transient(Trajectory(np.array([0.0, 1.0]), np.full((2, 4), 0.25)), rc)
+    return entropy_balance_transient(Trajectory(np.array([0.0, 1.0]), np.full((2, 4), 0.25)), RC)
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -41,6 +45,18 @@ def two_samples():
     (lambda: MNFactors(0.0, 1.0), ValueError, "m must be positive and finite, got 0.0"),
     (lambda: MNFactors(1.0, INF), ValueError, "n must be positive and finite, got inf"),
     (two_samples, ValueError, "need at least three samples for a centered difference"),
+    (lambda: entropy_balance_transient(Trajectory(np.arange(3.0), np.full((3, 3), 1 / 3)), RC),
+     ValueError, "expected populations of shape (3, 4), got shape (3, 3)"),
+    (lambda: entropy_production_micro(RC, np.full(3, 1 / 3)), ValueError,
+     "expected 4 populations, got shape (3,)"),
+    (lambda: schnakenberg_terms(RC, np.full(5, 0.2)), ValueError,
+     "expected 4 populations, got shape (5,)"),
+    (lambda: net_transition_rate(RC, np.array([NAN, 0.5, 0.25, 0.25]), StateIndex.A,
+                                 StateIndex.B, Lead.L), ValueError,
+     "populations must be finite"),
+    (lambda: currents(RC, SteadyState(np.full(3, 1 / 3), 0.0, np.zeros(4)), SYS,
+                      equal_baths(1.0, 0.0)), ValueError,
+     "expected 4 populations, got shape (3,)"),
     (lambda: CurrentSet(j_e=np.zeros(2), j_n=np.zeros(3), j_q=np.zeros(3)), ValueError,
      "j_e must hold one value per lead"),
     (lambda: cop_ideal(equal_baths(1.0, 0.0)), PreconditionError,
@@ -52,7 +68,8 @@ def two_samples():
 ], ids=["kappa_c-alone", "kappa-inf", "mu-nan", "11-rates", "negative-rates",
         "3-populations", "population-nan", "sample_stride-0", "sample_stride-inf",
         "sample_stride-2.5", "force-inf", "m-zero",
-        "n-inf", "two-samples", "j_e-of-2", "cop_ideal-no-bias", "tol_sign-nan",
+        "n-inf", "two-samples", "transient-3-columns", "micro-3-populations",
+        "terms-5-populations", "net-rate-nan", "currents-3-populations", "j_e-of-2", "cop_ideal-no-bias", "tol_sign-nan",
         "tol_sign-inf", "tol_sign-negative"])
 def test_bad_input_is_rejected_at_the_boundary(call, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):

@@ -80,6 +80,16 @@ class TestSpanningTree:
                 assert np.abs(batch.legs[:, i] - flux).max() < 1e-12
         assert checked > 80
 
+    def test_steady_state_is_a_view_of_the_batch(self):
+        rng = np.random.default_rng(321)
+        for _ in range(50):
+            sys, baths = random_system(rng), random_baths(rng, equal_gamma=False)
+            ss = steady_state(generator(rate_constants(sys, baths)))
+            batch = engine.evaluate(sys, *baths.triples)
+            assert ss.rho.values.tobytes() == batch.rho[:, 0].tobytes()
+            assert np.float64(ss.gamma_cw).tobytes() == batch.gamma_cw.tobytes()
+            assert ss.legs.tobytes() == batch.legs[:, 0].tobytes()
+
     def test_single_point_matches_batch_row(self):
         sys = SystemParams(eps_b=EPS_B, eps_u=EPS_U, kappa=-1.5)
         f_n = np.linspace(-3.0, 3.0, 41)

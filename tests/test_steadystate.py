@@ -1,9 +1,11 @@
 """Stationary solve, cycle-flux identities and the closed-form cross-check."""
+import warnings
+
 import numpy as np
 import pytest
 
 from qdicc import (DegenerateNetworkError, Generator, PreconditionError,
-                   cycle_flux_closed_form, generator, rate_constants,
+                   SystemParams, cycle_flux_closed_form, generator, rate_constants,
                    steady_state)
 
 from conftest import equal_baths, gibbs_state, make_baths, random_baths, random_system
@@ -84,6 +86,18 @@ class TestClosedFormCycleFlux:
                 sys, make_baths(beta, beta, beta - delta, mu, mu, mu))
             if abs(plus) > 1e-12 or abs(minus) > 1e-12:
                 assert np.sign(plus) == -np.sign(minus)
+
+    def test_vanishing_normalization_raises_as_the_solve_does(self):
+        # at beta = 2000 every occupation is exactly 0 or 1: A feeds both B
+        # and C, which have no way out, so no unique steady state exists
+        sys = SystemParams(1.0, 2.5, 1.0)
+        baths = make_baths(2000.0, 2000.0, 2000.0, 1.5, 1.5, 3.0)
+        for solve in (lambda: steady_state(generator(rate_constants(sys, baths))),
+                      lambda: cycle_flux_closed_form(sys, baths)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DegenerateNetworkError, match="normalization is zero"):
+                    solve()
 
     def test_unequal_gamma_rejected(self):
         rng = np.random.default_rng(67)
