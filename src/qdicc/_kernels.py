@@ -16,10 +16,13 @@ the deviation from a stationary anchor, one matrix-vector product per step,
 with every step still policed).  The tables
 ``_EXCITE``/``_RELAX``/``_LEAD``/``_LOWER``/``_UPPER`` and the transition
 energies of :func:`channel_energies` say which lead, which states and which
-energy each channel has; the incidence table ``_FEEDS`` built from them
-drives the generator, whose ring entries ``engine.stationary`` reads, and
-its mask ``_BLOCKED`` of the pairs no channel joins is what
-``kinetics.Generator`` and ``model.TransitionTable.omega`` reject.
+energy each channel has.  ``kinetics.CHANNEL_INDEX``,
+``model.transition_energies`` and the occupations of
+``steadystate.cycle_flux_closed_form`` read them; the incidence table
+``_FEEDS`` built from them drives the generator, whose ring entries
+``engine.stationary`` reads, and its mask ``_BLOCKED`` of the pairs no
+channel joins is what ``kinetics.Generator`` and
+``model.TransitionTable.omega`` reject.
 
 ``solve4``, ``steady_rho`` and ``cycle_legs`` are no longer called by the
 package: the spanning-tree steady state of :mod:`qdicc.engine` replaced the

@@ -27,31 +27,23 @@ from .icc import analyze_point  # noqa: F401
 MAP_CODES = "0.xyenEN!"
 _MAP_BYTES = np.frombuffer(MAP_CODES.encode(), np.uint8)
 
-# grid points per engine call at most (unless one F_E line holds more):
-# bounds the arrays of a block on large grids
+# grid points per engine call at most: bounds the arrays of a block on
+# large grids, and a longer F_E line goes in column chunks
 _BLOCK_POINTS = 4096
 
 
-def _worker_count(text: str) -> int:
-    """argparse type of --threads: an integer of at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
-def _tolerance(text: str) -> float:
-    """argparse type of --tol-sign: a finite float of at least 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not (np.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(f"must be finite and non-negative, got {value}")
-    return value
+def _checked(kind, ok, must: str):
+    """argparse type: ``kind(text)`` where ``ok`` holds of it, else an
+    error that says what the value must be."""
+    def read(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {must}, got {value}")
+        return value
+    return read
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -62,18 +54,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("solve", "solve a single configuration and print one flat record"),
-        ("sweep", "stream a CSV of records over a force-plane grid"),
-        ("classify-map", "emit a compact regime-code grid with a legend"),
+    for name, help_text, handler in (
+        ("solve", "solve a single configuration and print one flat record", _cmd_solve),
+        ("sweep", "stream a CSV of records over a force-plane grid", _cmd_sweep),
+        ("classify-map", "emit a compact regime-code grid with a legend", _cmd_classify_map),
     ):
         cmd = sub.add_parser(name, help=help_text)
+        cmd.set_defaults(handler=handler)
         cmd.add_argument("--config", required=True, help="path to a key = value config file")
         cmd.add_argument("--out", default="-", help="output path, or - for stdout")
-        cmd.add_argument("--threads", type=_worker_count, default=1,
-                         help="worker processes for sweeps (default 1; at most "
-                              "one per F_E line and per CPU)")
-        cmd.add_argument("--tol-sign", type=_tolerance, default=engine.TOL_SIGN,
+        cmd.add_argument("--threads", type=_checked(int, lambda v: v >= 1, "at least 1"),
+                         default=1, help="worker processes for sweeps (default 1; at most "
+                                         "one per F_E line and per CPU)")
+        cmd.add_argument("--tol-sign", type=_checked(float, lambda v: 0 <= v < np.inf,
+                                                     "finite and non-negative"),
+                         default=engine.TOL_SIGN,
                          help="current magnitude treated as numerically zero")
     return parser
 
@@ -100,11 +95,11 @@ def _solve_record(cfg: dict, tol_sign: float) -> list[str]:
 
 
 def _block_batch(payload):
-    """One engine call over a block of consecutive F_E grid lines, in
-    row-major order: ``(f_e, f_n, beta, mu_l, batch)``.  ``build_sweep_spec``
-    has checked the block's baths, so every failure is a batch row's
-    status."""
-    sys_params, cfg, tol_sign, f_e_values, f_n_values = payload
+    """One engine call over a block of consecutive F_E grid lines, or over a
+    column chunk of one line, in row-major order: ``(f_e, f_n, beta, mu_l,
+    batch)``.  ``build_sweep_spec`` has checked the block's baths, so every
+    failure is a batch row's status."""
+    sys_params, cfg, tol_sign, f_e_values, f_n_values = payload[:5]
     f_e = np.repeat(f_e_values, len(f_n_values))
     f_n = np.tile(f_n_values, len(f_e_values))
     baths, beta, mu_l = point_baths(cfg, f_e, f_n)
@@ -112,35 +107,44 @@ def _block_batch(payload):
 
 
 def _sweep_row(payload) -> list[bytes]:
-    """The CSV text of one block of F_E grid lines, in chunks; importable
-    so workers can pickle it."""
+    """The CSV text of one block of grid points, in chunks; importable so
+    workers can pickle it."""
     return record_fields(*_block_batch(payload))
 
 
 def _map_row(payload) -> list[bytes]:
     """The map rows of one block of F_E grid lines, read off the engine's
-    status and regime codes; importable so workers can pickle it."""
+    status and regime codes, each ended by a newline unless the payload is
+    a column chunk short of its line's end; importable so workers can
+    pickle it."""
+    f_n_values, ends_lines = payload[4:]
     batch = _block_batch(payload)[-1]
     codes = np.where(batch.status == engine.OK, batch.regime, -1)
-    rows = _MAP_BYTES[codes].reshape(-1, len(payload[-1]))
-    return [np.concatenate((rows, np.full((len(rows), 1), ord("\n"), np.uint8)), axis=1).tobytes()]
+    rows = _MAP_BYTES[codes].reshape(-1, len(f_n_values))
+    if ends_lines:
+        rows = np.concatenate((rows, np.full((len(rows), 1), ord("\n"), np.uint8)), axis=1)
+    return [rows.tobytes()]
 
 
 def _iter_chunks(cfg: dict, tol_sign: float, threads: int, render):
     """Validate the sweep once, then return its spec and an iterator over
-    the byte chunks that ``render(payload)`` gives for each block of F_E
-    grid lines, in grid order; a bad config raises here, before any
-    output."""
+    the byte chunks that ``render(payload)`` gives for each block of at
+    most ``_BLOCK_POINTS`` grid points, in grid order; a bad config raises
+    here, before any output."""
     spec = build_sweep_spec(cfg)
     sys_params = build_system(cfg)
     f_e_values, f_n_values = spec.f_e_values(), spec.f_n_values()
 
     # a pool starts every worker it is given: no more than lines or CPUs
     workers = min(threads, spec.f_e_steps, os.cpu_count() or 1)
-    # lines per block: a bounded engine call, and a block for every worker
+    # lines per block: a bounded engine call, and a block for every worker;
+    # columns per block: all of a line, or chunks of a line too long for one
     size = max(1, min(_BLOCK_POINTS // spec.f_n_steps, -(-spec.f_e_steps // workers)))
-    payloads = [(sys_params, cfg, tol_sign, f_e_values[i:i + size], f_n_values)
-                for i in range(0, spec.f_e_steps, size)]
+    width = min(spec.f_n_steps, _BLOCK_POINTS)
+    # each payload ends with whether its columns reach the end of the line
+    payloads = ((sys_params, cfg, tol_sign, f_e_values[i:i + size], f_n_values[j:j + width],
+                 j + width >= spec.f_n_steps)
+                for i in range(0, spec.f_e_steps, size) for j in range(0, spec.f_n_steps, width))
 
     def blocks():
         if workers > 1:
@@ -194,17 +198,10 @@ def _cmd_classify_map(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "solve": _cmd_solve,
-    "sweep": _cmd_sweep,
-    "classify-map": _cmd_classify_map,
-}
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -54,8 +54,7 @@ _KEYS = {
 
 SETUPS = ("icc", "thermoelectric", "raw")
 
-# the most grid points a sweep axis may take: a line is one engine call, at
-# ~0.8 kB a point, and an axis array is 8 bytes a point
+# the most grid points a sweep axis may take; an axis array is 8 bytes a point
 MAX_AXIS_STEPS = 10**6
 
 

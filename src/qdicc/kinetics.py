@@ -129,8 +129,11 @@ def rate_constants(sys: SystemParams, baths: BathConfig) -> RateConstants:
 
 
 def generator(rc: RateConstants) -> Generator:
-    """Assemble the generator of the occupation-probability rate equations."""
-    return Generator(_kernels.generator_matrix(rc.values))
+    """Assemble the generator of the occupation-probability rate equations;
+    a column sum that overflows is left to :class:`Generator` to reject."""
+    with np.errstate(over="ignore"):
+        w = _kernels.generator_matrix(rc.values)
+    return Generator(w)
 
 
 def net_transition_rate(rc: RateConstants, rho, i: StateIndex, j: StateIndex,

@@ -190,12 +190,8 @@ def transition_energies(sys: SystemParams) -> TransitionTable:
     occupied partner.  No clamping: omega_cd (or omega_bd) goes negative
     exactly when its linear form does.
     """
-    return TransitionTable(
-        omega_ab=sys.eps_b,
-        omega_ac=sys.eps_u,
-        omega_cd=sys.eps_b + sys.kappa,
-        omega_bd=sys.eps_u + sys.kappa,
-    )
+    ab, _, cd, _, ac, bd = _kernels.channel_energies(sys.eps_b, sys.eps_u, sys.kappa).tolist()
+    return TransitionTable(omega_ab=ab, omega_ac=ac, omega_cd=cd, omega_bd=bd)
 
 
 def fermi_plus(res: Reservoir, omega: float) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 from . import _kernels, engine
 from .errors import PreconditionError
 from .kinetics import Generator, PopulationVector
-from .model import BathConfig, SystemParams, transition_energies
+from .model import BathConfig, SystemParams
 
 
 @dataclass(frozen=True)
@@ -63,22 +63,20 @@ def cycle_flux_closed_form(sys: SystemParams, baths: BathConfig) -> float:
     gamma_u, and raises :class:`DegenerateNetworkError` where the
     denominator vanishes.
     """
-    (b_l, b_r, b_u), (m_l, m_r, m_u), (g_l, g_r, g_u) = baths.triples
+    beta, mu, (g_l, g_r, g_u) = baths.triples
     gmax = max(g_l, g_r, g_u)
     if max(abs(g_l - g_r), abs(g_l - g_u)) > 1e-12 * gmax:
         raise PreconditionError(
             "closed-form cycle flux assumes equal tunneling rates; got "
             f"gamma=({g_l}, {g_r}, {g_u})"
         )
-    gamma = g_l
-    tt = transition_energies(sys)
-    f = _kernels.occupations(np.array((
-        b_l * (tt.omega_ab - m_l), b_r * (tt.omega_ab - m_r),
-        b_l * (tt.omega_cd - m_l), b_r * (tt.omega_cd - m_r),
-        b_u * (tt.omega_ac - m_u), b_u * (tt.omega_bd - m_u))))[0]
+    # the six f+ in table order; an exponent past the float range saturates
+    with np.errstate(over="ignore"):
+        f = _kernels.rate_vector(sys.eps_b, sys.eps_u, sys.kappa, beta, mu,
+                                 (1.0, 1.0, 1.0))[_kernels._EXCITE]
     f1, f2, g1, g2 = f[0] + f[1], f[2] + f[3], f[4], f[5]
     num = f1 * (f2 * (g2 - g1) + 2.0 * g2 * (g1 - 1.0)) - 2.0 * g1 * f2 * (g2 - 1.0)
     den = 3.0 * f1 * (g1 - g2) - 6.0 + 3.0 * f2 * (g2 - g1)
     if den == 0.0:
         engine.raise_for_status(engine.DEGENERATE)
-    return float(gamma * num / den)
+    return float(g_l * num / den)

@@ -197,11 +197,14 @@ def entropy_balance_transient(trajectory: Trajectory,
                               rc: RateConstants) -> TransientEntropyBalance:
     """Entropy balance along an evolve() trajectory, at interior samples.
 
-    Requires at least three samples and strictly positive populations
+    Requires at least three samples, times that are one finite value per
+    sample in strictly increasing order, and strictly positive populations
     throughout (interior of the simplex).
     """
     times = np.asarray(trajectory.times, float)
     pops = np.asarray(trajectory.populations, float)
+    if times.ndim != 1 or not (np.isfinite(times).all() and (np.diff(times) > 0.0).all()):
+        raise ValueError("times must be 1-D, finite and strictly increasing")
     if pops.shape != (len(times), 4):
         raise ValueError(f"expected populations of shape ({len(times)}, 4), "
                          f"got shape {pops.shape}")

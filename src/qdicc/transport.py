@@ -19,7 +19,8 @@ from .steadystate import SteadyState
 
 @dataclass(frozen=True)
 class CurrentSet:
-    """Energy, particle and heat currents per lead, in (l, r, u) order."""
+    """Energy, particle and heat currents per lead, in (l, r, u) order;
+    each value must be finite."""
 
     j_e: np.ndarray
     j_n: np.ndarray
@@ -30,6 +31,8 @@ class CurrentSet:
             v = np.asarray(getattr(self, name), dtype=float)
             if v.shape != (3,):
                 raise ValueError(f"{name} must hold one value per lead")
+            if not np.isfinite(v).all():
+                raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, v)
 
     @property

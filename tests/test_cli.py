@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdicc import ConfigError, engine
+from qdicc import ConfigError, cli, engine
 from qdicc.cli import main
 from qdicc.config import (COLUMNS, MAX_AXIS_STEPS, STATUS_WORDS, build_sweep_spec,
                           build_system, parse_config_text)
@@ -319,6 +319,35 @@ class TestSweep:
             main(["sweep", "--config", cfg, "--out", str(capped), "--threads", "100000"])
             assert capped.read_bytes() == serial.read_bytes()
         assert sizes == [7, 3]  # 7 F_E lines, then 3 CPUs
+
+    @pytest.mark.parametrize("command", ["sweep", "classify-map"])
+    def test_long_lines_go_in_bounded_engine_calls(self, tmp_path, monkeypatch, command):
+        # a line longer than a block goes in column chunks: every engine call
+        # of a 2 x 10^4 grid holds at most _BLOCK_POINTS points, and the
+        # output bytes are those of one call per line
+        text = SWEEP_CONFIG.replace("F_E_steps = 7", "F_E_steps = 2") \
+                           .replace("F_N_steps = 5", "F_N_steps = 10000")
+        cfg = write(tmp_path, "long.cfg", text)
+        sizes = []
+        evaluate = engine.evaluate
+
+        def recording(sys_params, beta, mu, gamma, **kwargs):
+            sizes.append(np.broadcast(*beta, *mu, *gamma).size)
+            return evaluate(sys_params, beta, mu, gamma, **kwargs)
+
+        monkeypatch.setattr(engine, "evaluate", recording)
+        chunked, whole = tmp_path / "chunked", tmp_path / "whole"
+        assert main([command, "--config", cfg, "--out", str(chunked)]) == 0
+        assert max(sizes) <= cli._BLOCK_POINTS
+        assert sum(sizes) == 2 * 10000
+        monkeypatch.setattr(cli, "_BLOCK_POINTS", 10**5)
+        sizes.clear()
+        assert main([command, "--config", cfg, "--out", str(whole)]) == 0
+        assert sizes == [2 * 10000]
+        assert chunked.read_bytes() == whole.read_bytes()
+        if command == "classify-map":
+            rows = [ln for ln in whole.read_text().splitlines() if not ln.startswith("#")]
+            assert [len(row) for row in rows] == [10000, 10000]
 
     def test_overflowing_mu_l_fails_its_line(self, tmp_path):
         # beta_r = 5e-324 keeps beta_r + F_E positive at F_E = 0, where

@@ -2,6 +2,7 @@
 agreement, per-row status gates and whole-box physics properties."""
 import ast
 import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,9 @@ from qdicc import (CurrentSet, NumericalError, QdiccError, RateConstants,
                    forces_macro, forces_micro, generator, icc_reduction,
                    invert_forces, mn_factors, pq_ratio, rate_constants,
                    schnakenberg_terms, steady_state)
-from qdicc._kernels import R_BA, U_AC
+from qdicc._kernels import (_EXCITE, _LOWER, _RELAX, _UPPER, R_BA, U_AC,
+                            channel_energies)
+from qdicc.config import record_fields
 
 from conftest import BETA_R, EPS_B, EPS_U, MU_R, MU_U, random_baths, random_system
 
@@ -369,6 +372,52 @@ def test_plane_box_properties(points, kappa):
     inverse = [engine.REGIMES.index(engine.Regime.ICC_ENERGY),
                engine.REGIMES.index(engine.Regime.ICC_PARTICLE)]
     assert EPS_B + kappa < 0 or not np.isin(batch.regime, inverse).any()
+
+
+@pytest.mark.filterwarnings("ignore:eps_b \\+ kappa = 0")
+@settings(max_examples=60, deadline=None)
+@given(points=st.lists(st.tuples(st.floats(-0.99, 400.0), st.floats(-2000.0, 2000.0)),
+                       min_size=1, max_size=12),
+       kappa=st.floats(-2.0, 2.0))
+def test_census_box_keeps_the_contract(points, kappa):
+    """Over the Fermi-tail census box each row is ok or fails with a typed
+    status; ok rows are finite and meet conservation, the second law and
+    macro = micro to within 1e-12 of the one-way channel fluxes that their
+    currents are sums of; and the CSV text holds no nan or inf."""
+    sys = SystemParams(eps_b=EPS_B, eps_u=EPS_U, kappa=kappa)
+    f_e = np.array([p[0] for p in points])
+    f_n = np.array([p[1] for p in points])
+    beta, mu_l = invert_forces(f_e, f_n, BETA_R, MU_R)
+    batch = engine.evaluate(sys, (beta, BETA_R, beta), (mu_l, MU_R, MU_U),
+                            (1.0, 1.0, 1.0))
+    assert set(batch.status.tolist()) <= {engine.OK, *engine.ERRORS}
+    for code in set(batch.status.tolist()) - {engine.OK}:
+        cls, message = engine.ERRORS[code]
+        with pytest.raises(cls, match=f"^{re.escape(message)}$"):
+            engine.raise_for_status(code)
+    ok = batch.status == engine.OK
+    for field in dataclasses.fields(batch):
+        values = getattr(batch, field.name)[..., ok]
+        assert not np.isinf(values).any(), field.name
+        # the cycle predictor and the figures of merit are NaN where undefined
+        assert field.name in ("pq", "cop", "eta") or not np.isnan(values).any(), field.name
+
+    k, rho, cur = batch.k[:, ok], batch.rho[:, ok], batch.currents[:, ok]
+    flux = np.maximum(k[_EXCITE] * rho[_LOWER], k[_RELAX] * rho[_UPPER]).max(axis=0)
+    energy = flux * np.abs(channel_energies(EPS_B, EPS_U, kappa)).max()
+    # each term beta_lam J_Q^lam of sigma is at most beta (|omega| + |mu|)
+    # times the one-way flux
+    entropy = np.maximum(beta[ok], BETA_R) * (
+        energy + np.maximum(np.abs(mu_l[ok]), max(abs(MU_R), abs(MU_U))) * flux)
+    assert (np.abs(batch.res_j_e[ok]) <= 1e-12 * energy).all()
+    assert (np.abs(batch.res_j_n[ok]) <= 1e-12 * flux).all()
+    assert (np.abs(cur[5]) <= 1e-12 * flux).all()  # J_N^u
+    assert (batch.sigma_micro[ok] >= 0.0).all()
+    assert (batch.sigma_macro[ok] >= -1e-12 * entropy).all()
+    assert (np.abs(batch.sigma_macro[ok] - batch.sigma_micro[ok]) <= 1e-12 * entropy).all()
+
+    text = b"".join(record_fields(f_e, f_n, beta, mu_l, batch))
+    assert not re.search(rb"\b(nan|inf)\b", text, re.IGNORECASE)
 
 
 def onsager_matrix(kappa, h):

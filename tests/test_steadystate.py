@@ -99,6 +99,14 @@ class TestClosedFormCycleFlux:
                 with pytest.raises(DegenerateNetworkError, match="normalization is zero"):
                     solve()
 
+    def test_exponent_past_the_float_range_saturates(self):
+        # beta (omega - mu_l) = 1e300 (omega + 1e300) overflows to inf; its
+        # occupation is the 0 of a large finite exponent, with no warning
+        sys = SystemParams(1.0, 2.5, -1.5)
+        far, near = (cycle_flux_closed_form(sys, make_baths(1e300, 1e300, 1e300, mu_l, 0.0, 0.0))
+                     for mu_l in (-1e300, -1e3))
+        assert far == near
+
     def test_unequal_gamma_rejected(self):
         rng = np.random.default_rng(67)
         sys = random_system(rng)
