@@ -11,18 +11,18 @@ occupations (:func:`occupations`, also behind ``model.fermi_plus``,
 (:func:`rate_vector`), the generator (:func:`generator_matrix`), channel
 fluxes (:func:`channel_fluxes`), the nine currents
 (:func:`currents_vector`), the network-form entropy (:func:`schnakenberg`)
-and the RK4 transient (:func:`rk4_evolve`: RK4's one-step matrix applied to
-the deviation from a stationary anchor, one matrix-vector product per step,
-with every step still policed).  The tables
-``_EXCITE``/``_RELAX``/``_LEAD``/``_LOWER``/``_UPPER`` and the transition
-energies of :func:`channel_energies` say which lead, which states and which
-energy each channel has.  ``kinetics.CHANNEL_INDEX``,
-``model.transition_energies`` and the occupations of
-``steadystate.cycle_flux_closed_form`` read them; the incidence table
-``_FEEDS`` built from them drives the generator, whose ring entries
-``engine.stationary`` reads, and its mask ``_BLOCKED`` of the pairs no
-channel joins is what ``kinetics.Generator`` and
-``model.TransitionTable.omega`` reject.
+and the RK4 transient (:func:`rk4_evolve`, one matrix-vector product per
+policed step).  The tables ``_EXCITE``/``_RELAX``/``_LEAD``/``_LOWER``/
+``_UPPER`` and the transition energies of :func:`channel_energies` say which
+lead, which states and which energy each channel has;
+``kinetics.CHANNEL_INDEX``, ``model.transition_energies`` and
+``steadystate.cycle_flux_closed_form`` read them.  The incidence table
+``_FEEDS`` drives the generator, whose ring entries ``engine.stationary``
+reads, and its mask ``_BLOCKED`` of the pairs no channel joins is what
+``kinetics.Generator`` and ``model.TransitionTable.omega`` reject.
+``_CYCLES`` lists the ring's three independent cycles by channel;
+``engine.cycles`` reads it for M/N, the lead-l gate, p/q and
+``thermo.forces_micro``, and no other module names a channel constant.
 
 ``solve4``, ``steady_rho`` and ``cycle_legs`` are no longer called by the
 package: the spanning-tree steady state of :mod:`qdicc.engine` replaced the
@@ -64,6 +64,12 @@ _FEEDS[_UPPER, _LOWER, _EXCITE] = _FEEDS[_LOWER, _UPPER, _RELAX] = 1.0
 # the off-diagonal generator entries no channel feeds: B<->C and A<->D
 _BLOCKED = ~(np.eye(4, dtype=bool) | _FEEDS.any(axis=2))
 _DIAG = np.arange(4)
+# each channel's reversal, and the ring's three independent cycles (chords AB
+# via r, CD via r, BD via u) as the channels each runs, forward and backward
+_REVERSE = np.empty(12, dtype=int)
+_REVERSE[_EXCITE], _REVERSE[_RELAX] = _RELAX, _EXCITE
+_CYCLES = ((R_AB, L_BA), (R_CD, L_DC), (L_AB, U_BD, L_DC, U_CA))
+_CYCLES_BACK = tuple(tuple(_REVERSE[list(row)].tolist()) for row in _CYCLES)
 
 # rk4_evolve's simplex policing: normalization drift above RENORM_TOL is
 # repaired, drift above DRIFT_TOL or a population below -NEGATIVE_TOL aborts;
@@ -106,7 +112,8 @@ def rate_vector(eps_b, eps_u, kappa, beta, mu, gamma):
     """
     beta, mu, gamma = (np.asarray(v, dtype=float) for v in (beta, mu, gamma))
     omega = channel_energies(eps_b, eps_u, kappa).reshape((6,) + (1,) * (beta.ndim - 1))
-    x = beta[_LEAD] * (omega - mu[_LEAD])
+    with np.errstate(over="ignore"):  # +-inf saturates the occupations to 0 or 1
+        x = beta[_LEAD] * (omega - mu[_LEAD])
     excite, relax = occupations(x)
     g = gamma[_LEAD]
     k = np.empty((12, *x.shape[1:]))

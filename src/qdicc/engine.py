@@ -29,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import (L_AB, L_BA, L_CD, L_DC, R_AB, R_BA, R_CD, R_DC, U_AC,
-                       U_BD, U_CA, U_DB, channel_fluxes, currents_vector,
+from ._kernels import (_CYCLES, _CYCLES_BACK, channel_fluxes, currents_vector,
                        generator_matrix, rate_vector, schnakenberg)
 from .errors import (DegenerateNetworkError, DegenerateRateError,
                      LogDomainError, NumericalError, PreconditionError,
@@ -161,19 +160,23 @@ def xy(k, g, gamma_cw):
     return x, y, np.where(ok, OK, XY)
 
 
-def mn(k):
-    """Left/right asymmetry ratios m (A<->B channel) and n (C<->D channel)
-    and their status: MN_DENOMINATOR where a denominator vanishes, else
-    MN_RANGE where m or n is not positive and finite."""
-    den_m = k[R_BA] * k[L_AB]
-    den_n = k[R_DC] * k[L_CD]
+def cycles(k):
+    """m, n and c_l, the forward-to-backward rate-product ratios exp(A) of the
+    cycles of ``_kernels._CYCLES`` (chords AB via r, CD via r, BD via u; A the
+    affinity), and the status of m and n: MN_DENOMINATOR where a backward
+    product vanishes, else MN_RANGE where m or n is not positive and finite."""
     with np.errstate(all="ignore"):
-        m = (k[R_AB] * k[L_BA]) / den_m
-        n = (k[R_CD] * k[L_DC]) / den_n
-        status = np.where((den_m == 0.0) | (den_n == 0.0), MN_DENOMINATOR,
-                          np.where((m > 0) & np.isfinite(m) & (n > 0) & np.isfinite(n),
-                                   OK, MN_RANGE))
-    return m, n, status
+        products = []  # each walk's rates, multiplied left to right
+        for first, *rest in _CYCLES + _CYCLES_BACK:
+            product = k[first]
+            for channel in rest:
+                product = product * k[channel]
+            products.append(product)
+        fwd_m, fwd_n, fwd_l, bwd_m, bwd_n, bwd_l = products
+        m, n = fwd_m / bwd_m, fwd_n / bwd_n
+        return m, n, fwd_l / bwd_l, np.where(
+            (bwd_m == 0.0) | (bwd_n == 0.0), MN_DENOMINATOR,
+            np.where((m > 0) & np.isfinite(m) & (n > 0) & np.isfinite(n), OK, MN_RANGE))
 
 
 def forces(beta, mu):
@@ -228,27 +231,20 @@ def log_domain(k, rho):
     return np.where(outside, LOG_DOMAIN, OK)
 
 
-def cycle_ratio_l(k):
-    """Eight-rate product around the cycle taken through lead l."""
-    with np.errstate(all="ignore"):
-        return (k[L_AB] * k[U_BD] * k[L_DC] * k[U_CA]) / (
-            k[L_BA] * k[U_DB] * k[L_CD] * k[U_AC])
-
-
-def pq_status(k):
+def pq_status(k, c_l):
     """Cycle-direction predictor p/q of the two-force setup (see
-    :func:`qdicc.icc.pq_ratio`) and its status: PQ_RANGE where p/q or the
-    lead-l cycle product is not a finite positive number (a rate product
-    left the float range), UNREDUCED where that cycle product deviates from
+    :func:`qdicc.icc.pq_ratio`), p and q over the channels of the m and n
+    cycles, and its status: PQ_RANGE where p/q or the lead-l cycle ratio
+    ``c_l`` of :func:`cycles` is not a finite positive number (a rate
+    product left the float range), UNREDUCED where ``c_l`` deviates from
     one.  Rates must be positive."""
     with np.errstate(all="ignore"):
-        cycle = cycle_ratio_l(k)
-        p = (1.0 + k[R_AB] / k[L_AB]) / (1.0 + k[R_BA] / k[L_BA])
-        q = (1.0 + k[R_CD] / k[L_CD]) / (1.0 + k[R_DC] / k[L_DC])
+        p, q = [(1.0 + k[r_up] / k[l_up]) / (1.0 + k[r_down] / k[l_down])
+                for (r_up, l_down), (r_down, l_up) in zip(_CYCLES[:2], _CYCLES_BACK[:2])]
         ratio = p / q
-        in_range = (np.isfinite(cycle) & (cycle > 0.0)
+        in_range = (np.isfinite(c_l) & (c_l > 0.0)
                     & np.isfinite(ratio) & (ratio > 0.0))
-        return ratio, np.where(in_range, np.where(np.abs(np.log(cycle)) <= 1e-9,
+        return ratio, np.where(in_range, np.where(np.abs(np.log(c_l)) <= 1e-9,
                                                   OK, UNREDUCED), PQ_RANGE)
 
 
@@ -369,12 +365,12 @@ def evaluate(sys: SystemParams, beta, mu, gamma, tol_sign: float = TOL_SIGN) -> 
         g = channel_fluxes(k, rho)
         cur = currents_vector(g, sys.eps_b, sys.eps_u, sys.kappa, mu)
         x, y, xy_status = xy(k, g, gamma_cw)
-        m, n, mn_status = mn(k)
+        m, n, c_l, mn_status = cycles(k)
         sigma_macro, _decomposition, macro_status = entropy_macro(beta, cur, f)
         micro = schnakenberg(k, rho)[0]
 
         reduced = np.abs(f[0]) <= TOL_FORCE
-        ratio, pq_codes = pq_status(k)
+        ratio, pq_codes = pq_status(k, c_l)
         regime, cls_codes = classify(f[1], f[2], cur[1], cur[4], tol_sign)
         regime = np.where(reduced, regime, -1)
         ratio = np.where(reduced, ratio, np.nan)

@@ -80,20 +80,19 @@ def pq_ratio(rc: RateConstants) -> float:
     """Cycle-direction predictor for the two-force setup.
 
     With the upper-lead energy bias zero, the combined-lead cycle affinity
-    factorizes into the ratio
-
-        p / q,  p = (1 + k_ab_r/k_ab_l) / (1 + k_ba_r/k_ba_l),
-                q = (1 + k_cd_r/k_cd_l) / (1 + k_dc_r/k_dc_l),
-
-    and the clockwise cycle flux has the sign of (p/q - 1): above one the
-    cycle runs clockwise, below one anticlockwise, at one it stalls.
+    factorizes into p/q, with p = (1 + k_ab_r/k_ab_l) / (1 + k_ba_r/k_ba_l)
+    over the channels of the m cycle of :func:`qdicc.engine.cycles` and q
+    the same over the n cycle; the forces f_e_u, f_e_r and f_n_r are
+    combinations of the three cycle affinities ln m, ln n and ln c_l.  The
+    clockwise cycle flux has the sign of (p/q - 1): above one the cycle
+    runs clockwise, below one anticlockwise, at one it stalls.
 
     Raises :class:`LogDomainError` unless every rate is strictly positive,
     and :class:`PreconditionError` when called outside the reduced setup
-    (detected through the lead-l cycle product deviating from one).
+    (detected through the lead-l cycle ratio c_l deviating from one).
     """
     engine.raise_for_status(engine.log_domain(rc.values, np.ones(4)))
-    ratio, status = engine.pq_status(rc.values)
+    ratio, status = engine.pq_status(rc.values, engine.cycles(rc.values)[2])
     engine.raise_for_status(status)
     return float(ratio)
 

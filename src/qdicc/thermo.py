@@ -92,7 +92,7 @@ def forces_macro(baths: BathConfig) -> ForceSet:
 
 def mn_factors(rc: RateConstants) -> MNFactors:
     """Rate-asymmetry ratios m and n of the two bottom-dot channels."""
-    m, n, status = engine.mn(rc.values)
+    m, n, _c_l, status = engine.cycles(rc.values)
     engine.raise_for_status(status)
     return MNFactors(m=float(m), n=float(n))
 
@@ -100,24 +100,22 @@ def mn_factors(rc: RateConstants) -> MNFactors:
 def forces_micro(rc: RateConstants, sys: SystemParams) -> ForceSet:
     """Entropic biases reconstructed from rate-constant logarithms.
 
-    f_e_u is (1/kappa) times the log of the eight-rate product around the
-    cycle taken through lead l; f_e_r is (1/kappa) ln(n/m); f_n_r combines
-    m and n with the scaled coupling theta = eps_b/kappa as
-    (1 + theta) ln m - theta ln n (equivalently ln m - eps_b * f_e_r).
+    They combine the affinities ln m, ln n and ln c_l of the ring's three
+    cycles (:func:`qdicc.engine.cycles`): f_e_u = (1/kappa) ln c_l,
+    f_e_r = (1/kappa) ln(n/m) and, with theta = eps_b/kappa,
+    f_n_r = (1 + theta) ln m - theta ln n (= ln m - eps_b * f_e_r).
     Equals the macroscopic construction identically.
     """
     if sys.kappa == 0.0:
         raise UndefinedForceError("microscopic forces are undefined for kappa = 0")
     engine.raise_for_status(engine.log_domain(rc.values, np.ones(4)))
-    inv_kappa = 1.0 / sys.kappa
-    theta = sys.theta
-    cycle_l = float(engine.cycle_ratio_l(rc.values))
-    mn = mn_factors(rc)
-    log_m = math.log(mn.m)
-    log_n = math.log(mn.n)
-    # a rate product that under- or overflowed leaves the cycle product 0 or inf
-    log_cycle = math.log(cycle_l) if 0.0 < cycle_l < math.inf else math.nan
-    forces = (inv_kappa * log_cycle, inv_kappa * (log_n - log_m),
+    m, n, c_l, status = engine.cycles(rc.values)
+    engine.raise_for_status(status)
+    # a rate product that under- or overflowed leaves c_l 0, inf or nan
+    log_m, log_n, log_c = (math.log(v) if 0.0 < v < math.inf else math.nan
+                           for v in (float(m), float(n), float(c_l)))
+    inv_kappa, theta = 1.0 / sys.kappa, sys.theta
+    forces = (inv_kappa * log_c, inv_kappa * (log_n - log_m),
               (1.0 + theta) * log_m - theta * log_n)
     _raise_unless_finite(forces)
     return ForceSet(*forces)

@@ -2,6 +2,7 @@
 agreement, per-row status gates and whole-box physics properties."""
 import ast
 import dataclasses
+import math
 import re
 from pathlib import Path
 
@@ -9,18 +10,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from qdicc import (CurrentSet, NumericalError, QdiccError, RateConstants,
-                   SystemParams, Trajectory, analyze_point,
+from qdicc import (CurrentSet, Lead, NumericalError, QdiccError, RateConstants,
+                   StateIndex, SystemParams, Trajectory, UndefinedForceError, analyze_point,
                    cycle_flux_closed_form, engine, entropy_balance_transient,
                    entropy_production_macro, entropy_production_micro,
                    forces_macro, forces_micro, generator, icc_reduction,
                    invert_forces, mn_factors, pq_ratio, rate_constants,
                    schnakenberg_terms, steady_state)
 from qdicc._kernels import (_EXCITE, _LOWER, _RELAX, _UPPER, R_BA, U_AC,
-                            channel_energies)
+                            channel_energies, rate_vector)
 from qdicc.config import record_fields
 
+import test_kinetics
 from conftest import BETA_R, EPS_B, EPS_U, MU_R, MU_U, random_baths, random_system
 
 
@@ -261,6 +264,24 @@ def test_each_gate_message_is_written_once():
         assert sum(message in text for text in strings) == 1, message
 
 
+CHANNEL_NAMES = {"L_AB", "L_BA", "L_CD", "L_DC", "R_AB", "R_BA", "R_CD", "R_DC",
+                 "U_AC", "U_CA", "U_BD", "U_DB"}
+
+
+def test_only_the_kernels_name_a_channel():
+    # the channel layout is known in one module: every other one reads the
+    # kernels' tables (channel, cycle and incidence) instead of indices
+    for path in Path(engine.__file__).parent.glob("*.py"):
+        if path.name == "_kernels.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+                 | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+                 | {name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                    for alias in node.names for name in (alias.name, alias.asname)})
+        assert not names & CHANNEL_NAMES, (path.name, sorted(names & CHANNEL_NAMES))
+
+
 def classify_oracle(f_e, f_n, j_e, j_n, tol):
     """(regime, status) of one point by the regime rules written out case by
     case, independent of the engine's rules table.  Each current is judged
@@ -446,3 +467,169 @@ def test_onsager_symmetry_positivity_and_coupling_sign(kappa, sign):
         assert np.isreal(eigenvalues).all() and eigenvalues.real.min() >= 0.0
         assert np.sign(lr[0, 1]) == sign
     assert 0.5e-2 < asymmetry[1] / asymmetry[0] < 2e-2
+
+
+def cycle_form_sigma(k, rho):
+    """Entropy production as the sum over the chords AB via r, CD via r and
+    BD via u of the chord's net flux times the affinity of the cycle it
+    closes through the tree {AB via l, CD via l, AC via u}: ln m, ln n and
+    ln c_l, each a sum of log rate ratios.  A third construction beside the
+    heat currents and the network form, with channels read from the literal
+    layout of ``test_kinetics.TestChannelTable.INDEX``."""
+    index = test_kinetics.TestChannelTable.INDEX
+    A, B, C, D = StateIndex
+
+    def rate(lead, i, j):
+        return k[index[(lead, i, j)]]
+
+    def flux(lead, i, j):
+        return rate(lead, i, j) * rho[i] - rate(lead, j, i) * rho[j]
+
+    def affinity(*walk):
+        return sum(np.log(rate(lead, i, j) / rate(lead, j, i)) for lead, i, j in walk)
+
+    return (flux(Lead.R, A, B) * affinity((Lead.R, A, B), (Lead.L, B, A))
+            + flux(Lead.R, C, D) * affinity((Lead.R, C, D), (Lead.L, D, C))
+            + flux(Lead.U, B, D) * affinity((Lead.U, B, D), (Lead.L, D, C),
+                                            (Lead.U, C, A), (Lead.L, A, B)))
+
+
+# the inverse_plane.cfg window: its system and baths, forces in its box
+PLANE_BOX = st.tuples(st.just(-1.5), st.lists(
+    st.tuples(st.floats(0.02, 2.0), st.floats(0.02, 2.0)), min_size=1, max_size=12))
+# raw-setup baths: three leads of their own beta and mu, one gamma
+RAW_BATHS = st.tuples(st.floats(-2.0, 2.0), st.lists(
+    st.tuples(*[st.floats(0.1, 5.0)] * 3, *[st.floats(-3.0, 3.0)] * 3, st.floats(0.2, 3.0)),
+    min_size=1, max_size=12))
+
+
+@pytest.mark.filterwarnings("ignore:eps_b \\+ kappa = 0")
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(PLANE_BOX, RAW_BATHS))
+def test_cycle_form_is_a_third_construction_of_sigma(draw):
+    """sigma = g(AB via r) ln m + g(CD via r) ln n + g(BD via u) ln c_l
+    equals the heat-current and the network form to within 1e-12 of the
+    largest one-way channel flux times beta (|omega| + |mu|), the bound of
+    each channel's log rate ratio."""
+    kappa, points = draw
+    sys = SystemParams(eps_b=EPS_B, eps_u=EPS_U, kappa=kappa)
+    rows = np.array(points, dtype=float).T
+    if len(rows) == 2:
+        beta, mu_l = invert_forces(rows[0], rows[1], BETA_R, MU_R)
+        betas, mus, gammas = (beta, BETA_R, beta), (mu_l, MU_R, MU_U), (1.0, 1.0, 1.0)
+    else:
+        betas, mus, gammas = tuple(rows[0:3]), tuple(rows[3:6]), (rows[6],) * 3
+    batch = engine.evaluate(sys, betas, mus, gammas)
+    assert (batch.status == engine.OK).all()
+    sigma = cycle_form_sigma(batch.k, batch.rho)
+    flux = np.maximum(batch.k[_EXCITE] * batch.rho[_LOWER],
+                      batch.k[_RELAX] * batch.rho[_UPPER]).max(axis=0)
+    beta_max = np.max(np.broadcast_arrays(*betas), axis=0)
+    mu_max = np.max(np.abs(np.broadcast_arrays(*mus)), axis=0)
+    entropy = beta_max * (np.abs(channel_energies(EPS_B, EPS_U, kappa)).max() + mu_max) * flux
+    assert (np.abs(sigma - batch.sigma_micro) <= 1e-12 * entropy).all()
+    assert (np.abs(sigma - batch.sigma_macro) <= 1e-12 * entropy).all()
+
+
+def literal_cycles(k):
+    """m, n, c_l, the backward products of m and n and p/q, from the
+    literal layout, each product written out left to right in walk order."""
+    index = test_kinetics.TestChannelTable.INDEX
+    A, B, C, D = StateIndex
+    L, R, U = Lead
+    ab_l, ba_l, cd_l, dc_l = (k[index[(L, i, j)]] for i, j in ((A, B), (B, A), (C, D), (D, C)))
+    ab_r, ba_r, cd_r, dc_r = (k[index[(R, i, j)]] for i, j in ((A, B), (B, A), (C, D), (D, C)))
+    ac_u, ca_u, bd_u, db_u = (k[index[(U, i, j)]] for i, j in ((A, C), (C, A), (B, D), (D, B)))
+    with np.errstate(all="ignore"):
+        den_m = ba_r * ab_l
+        den_n = dc_r * cd_l
+        m = (ab_r * ba_l) / den_m
+        n = (cd_r * dc_l) / den_n
+        c_l = (ab_l * bd_u * dc_l * ca_u) / (ba_l * db_u * cd_l * ac_u)
+        p = (1.0 + ab_r / ab_l) / (1.0 + ba_r / ba_l)
+        q = (1.0 + cd_r / cd_l) / (1.0 + dc_r / dc_l)
+        return m, n, c_l, den_m, den_n, p / q
+
+
+def literal_views(k, sys):
+    """What mn_factors, pq_ratio and forces_micro give on one rate vector:
+    ("ok", repr of the values) or ("raise", class, message), by the rules
+    written out here on the literal products."""
+    m, n, c_l, den_m, den_n, ratio = (float(v) for v in literal_cycles(k))
+
+    def error(code):
+        return ("raise", *engine.ERRORS[code])
+
+    if den_m == 0.0 or den_n == 0.0:
+        mn = error(engine.MN_DENOMINATOR)
+    elif not (0.0 < m < math.inf and 0.0 < n < math.inf):
+        mn = error(engine.MN_RANGE)
+    else:
+        mn = ("ok", repr((m, n)))
+    positive = bool((k > 0.0).all())
+    if not positive:
+        pq = error(engine.LOG_DOMAIN)
+    elif not (0.0 < c_l < math.inf and 0.0 < ratio < math.inf):
+        pq = error(engine.PQ_RANGE)
+    elif not np.abs(np.log(c_l)) <= 1e-9:
+        pq = error(engine.UNREDUCED)
+    else:
+        pq = ("ok", repr(ratio))
+    if sys.kappa == 0.0:
+        micro = ("raise", UndefinedForceError, "microscopic forces are undefined for kappa = 0")
+    elif not positive:
+        micro = error(engine.LOG_DOMAIN)
+    elif mn[0] == "raise":
+        micro = mn
+    else:
+        inv_kappa, theta = 1.0 / sys.kappa, sys.eps_b / sys.kappa
+        log_m, log_n = math.log(m), math.log(n)
+        log_c = math.log(c_l) if 0.0 < c_l < math.inf else math.nan
+        forces = (inv_kappa * log_c, inv_kappa * (log_n - log_m),
+                  (1.0 + theta) * log_m - theta * log_n)
+        micro = (("ok", repr(forces)) if all(map(math.isfinite, forces))
+                 else error(engine.NONFINITE))
+    return mn, pq, micro
+
+
+def outcome(call, values):
+    """("ok", repr of ``values(result)``) or ("raise", class, message)."""
+    try:
+        return ("ok", repr(values(call())))
+    except Exception as exc:  # noqa: BLE001 - the class is what is compared
+        return ("raise", type(exc), str(exc))
+
+
+# test_kinetics' rates in [0, 2] and at the bottom of the float range, and
+# log-uniform rates down the Fermi tail, subnormals included
+CYCLE_RATES = st.one_of(test_kinetics.RATES, st.floats(-745.0, 0.7).map(math.exp))
+# rates of two-force baths (beta_l = beta_u), where p/q is defined
+REDUCED_RATES = st.builds(
+    lambda beta, beta_r, mu, kappa: rate_vector(EPS_B, EPS_U, kappa, (beta, beta_r, beta),
+                                                mu, (1.0, 1.0, 1.0)),
+    st.floats(0.1, 5.0), st.floats(0.1, 5.0), st.tuples(*[st.floats(-3.0, 3.0)] * 3),
+    st.floats(-3.0, 3.0))
+
+
+@pytest.mark.filterwarnings("ignore:eps_b \\+ kappa = 0")
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(arrays(np.float64, st.one_of(st.just((12,)),
+                                              st.tuples(st.just(12), st.integers(1, 6))),
+                       elements=CYCLE_RATES), REDUCED_RATES),
+       st.one_of(st.sampled_from((-1.5, 0.0, 1.5)), st.floats(-3.0, 3.0)))
+def test_cycle_stage_gives_the_literal_products(k, kappa):
+    # the cycle table's products keep the operand order of the literal
+    # products, so m, n, c_l and p/q keep their bits, and the views keep
+    # their values and their errors
+    m, n, c_l, _den_m, _den_n, ratio = literal_cycles(k)
+    stage = engine.cycles(k)
+    for got, want in zip(stage[:3] + engine.pq_status(k, stage[2])[:1], (m, n, c_l, ratio)):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+    sys = SystemParams(eps_b=EPS_B, eps_u=EPS_U, kappa=kappa)
+    for column in k.reshape(12, -1).T:
+        rc = RateConstants(column)
+        got = (outcome(lambda: mn_factors(rc), lambda mn: (mn.m, mn.n)),
+               outcome(lambda: pq_ratio(rc), lambda ratio: ratio),
+               outcome(lambda: forces_micro(rc, sys),
+                       lambda fs: (fs.f_e_u, fs.f_e_r, fs.f_n_r)))
+        assert got == literal_views(column, sys)

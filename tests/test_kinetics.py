@@ -47,6 +47,17 @@ class TestRateConstants:
         assert rc.rate(Lead.R, StateIndex.C, StateIndex.D) == pytest.approx(
             FERMI_AT_MINUS_HALF, abs=1e-15)
 
+    def test_exponent_past_the_float_range_saturates_without_warning(self):
+        # beta (omega - mu) = 1e300 (omega + 1e300) overflows to inf on both
+        # lead-l pairs; the occupations saturate to an exact 0 and 1
+        sys = SystemParams(eps_b=1.0, eps_u=2.5, kappa=-1.5)
+        baths = make_baths(1e300, 1.0, 1.0, -1e300, 1.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = rate_constants(sys, baths)
+        assert rc.values[:4].tolist() == [0.0, 1.0, 0.0, 1.0]
+        assert np.isfinite(rc.values).all()
+
     def test_forbidden_channel_lookup(self):
         rng = np.random.default_rng(5)
         rc = rate_constants(random_system(rng), random_baths(rng))
@@ -78,6 +89,29 @@ class TestChannelTable:
 
     def test_blocked_mask(self):
         assert {tuple(ij) for ij in np.argwhere(_kernels._BLOCKED).tolist()} == self.BLOCKED
+
+    def test_cycle_table(self):
+        # each cycle is a closed walk of channels, each chord of the spanning
+        # tree {AB via l, CD via l, AC via u} lies in exactly one cycle and
+        # each cycle holds one chord, and walking a cycle backward takes the
+        # reverse of each channel in its place
+        A, B, C, D = StateIndex
+        step = {idx: (lead, i, j) for (lead, i, j), idx in self.INDEX.items()}
+        for row in _kernels._CYCLES:
+            walk = [step[c] for c in row]
+            assert [j for _lead, _i, j in walk] == [i for _lead, i, _j in walk[1:] + walk[:1]]
+        edges = [{(lead, frozenset((i, j))) for lead, i, j in map(step.get, row)}
+                 for row in _kernels._CYCLES]
+        chords = [(Lead.R, frozenset((A, B))), (Lead.R, frozenset((C, D))),
+                  (Lead.U, frozenset((B, D)))]
+        for chord in chords:
+            assert sum(chord in cycle for cycle in edges) == 1, chord
+        assert all(len(cycle & set(chords)) == 1 for cycle in edges)
+        for idx, (lead, i, j) in step.items():
+            assert _kernels._REVERSE[idx] == self.INDEX[(lead, j, i)]
+        assert _kernels._CYCLES_BACK == tuple(
+            tuple(self.INDEX[(lead, j, i)] for lead, i, j in map(step.get, row))
+            for row in _kernels._CYCLES)
 
     def test_rates_sit_at_their_oracle_index(self):
         # each lead distinct, so a channel read with the wrong lead, energy
