@@ -36,11 +36,16 @@ _EXPORTS = {
            "pq_ratio classify cop cop_ideal efficiency carnot_efficiency analyze_point",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+# submodules that ``qdicc.<name>`` imports on first access, as a plain
+# ``import qdicc.<name>`` would
+_SUBMODULES = {*_EXPORTS, "_kernels", "engine", "config", "cli"}
 
 __all__ = ["__version__", "NUMBA_ENABLED", *_MODULE_OF]
 
 
 def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
     if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)

@@ -25,7 +25,7 @@ explicitly and supports ``solve`` only.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -159,9 +159,9 @@ def raw_baths(cfg: dict):
             (cfg["mu_l"], cfg["mu_r"], cfg["mu_u"]), (gamma, gamma, gamma))
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """A rectangular force-plane grid plus the fixed system/bath parameters."""
+class SweepSpec(NamedTuple):
+    """A rectangular force-plane grid, as a named tuple; built and checked
+    by :func:`build_sweep_spec` only."""
 
     f_e_min: float
     f_e_max: float
@@ -169,14 +169,6 @@ class SweepSpec:
     f_n_min: float
     f_n_max: float
     f_n_steps: int
-
-    def __post_init__(self):
-        if self.f_e_steps < 2 or self.f_n_steps < 2:
-            raise ConfigError("sweep axes need at least 2 steps each")
-        if self.f_e_steps > MAX_AXIS_STEPS or self.f_n_steps > MAX_AXIS_STEPS:
-            raise ConfigError(f"sweep axes take at most {MAX_AXIS_STEPS} steps each")
-        if not np.isfinite([self.f_e_max - self.f_e_min, self.f_n_max - self.f_n_min]).all():
-            raise ConfigError("sweep axes need a finite span max - min each")
 
     # with a finite span only the last point can overflow, and linspace sets it to max
     def f_e_values(self) -> np.ndarray:
@@ -206,6 +198,12 @@ def build_sweep_spec(cfg: dict) -> SweepSpec:
         f_e_min=cfg["F_E_min"], f_e_max=cfg["F_E_max"], f_e_steps=cfg["F_E_steps"],
         f_n_min=cfg["F_N_min"], f_n_max=cfg["F_N_max"], f_n_steps=cfg["F_N_steps"],
     )
+    if spec.f_e_steps < 2 or spec.f_n_steps < 2:
+        raise ConfigError("sweep axes need at least 2 steps each")
+    if spec.f_e_steps > MAX_AXIS_STEPS or spec.f_n_steps > MAX_AXIS_STEPS:
+        raise ConfigError(f"sweep axes take at most {MAX_AXIS_STEPS} steps each")
+    if not np.isfinite([spec.f_e_max - spec.f_e_min, spec.f_n_max - spec.f_n_min]).all():
+        raise ConfigError("sweep axes need a finite span max - min each")
     # bounds the derived beta = beta_r + F_E of every line: point_baths cannot
     # fail inside a sweep
     if cfg["beta_r"] + min(spec.f_e_min, spec.f_e_max) <= 0:

@@ -25,7 +25,7 @@ regime and status from one table of the two-force plane's rules.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -310,9 +310,9 @@ def merit(beta_l, beta_r, j_e_r, j_n_r, f_e_r, f_n_r):
     return cop, eta
 
 
-@dataclass(frozen=True)
-class Batch:
-    """Everything :func:`evaluate` computes for N points, one entry per row.
+class Batch(NamedTuple):
+    """Everything :func:`evaluate` computes for N points, one entry per row,
+    as a named tuple (cheaper to create at import than a dataclass).
 
     Channel-major fields: ``k`` (12, N), ``rho`` (4, N), ``legs`` (4, N),
     ``forces`` (3, N) as (f_e_u, f_e_r, f_n_r) and ``currents`` (9, N) as

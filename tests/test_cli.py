@@ -1,6 +1,5 @@
 """Command-line surface: config parsing, outputs, determinism, exit codes."""
 import contextlib
-import dataclasses
 import io
 import math
 import re
@@ -626,6 +625,19 @@ class TestExitCodes:
         assert not out.parent.exists()
         assert calls == []
 
+    @pytest.mark.parametrize("command, text", [("sweep", SWEEP_CONFIG),
+                                               ("solve", POINT_CONFIG),
+                                               ("classify-map", SWEEP_CONFIG)],
+                             ids=["sweep", "solve", "classify-map"])
+    def test_closed_stdout(self, tmp_path, capsys, monkeypatch, command, text):
+        # a process started with its standard output closed has sys.stdout
+        # None; writing to it is an output error, not an AttributeError
+        cfg = write(tmp_path, "run.cfg", text)
+        monkeypatch.setattr(sys, "stdout", None)
+        assert main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err == "output error: standard output is closed\n"
+
     @settings(max_examples=50, deadline=None)
     @given(st.fixed_dictionaries({key: st.sampled_from(BATH_VALUES)
                                   for key in ("beta_r", "mu_r", "mu_u", "gamma")}))
@@ -743,8 +755,7 @@ class TestExitCodes:
 
         def nonfinite(*args, **kwargs):
             batch = evaluate(*args, **kwargs)
-            return dataclasses.replace(batch, status=np.full_like(batch.status,
-                                                                 engine.NONFINITE))
+            return batch._replace(status=np.full_like(batch.status, engine.NONFINITE))
 
         monkeypatch.setattr(engine, "evaluate", nonfinite)
         cfg = write(tmp_path, "point.cfg", POINT_CONFIG)

@@ -1,7 +1,6 @@
 """Batched engine: oracles for the spanning-tree steady state, batch/point
 agreement, per-row status gates and whole-box physics properties."""
 import ast
-import dataclasses
 import math
 import re
 from pathlib import Path
@@ -102,10 +101,10 @@ class TestSpanningTree:
         batch = plane_line(sys, 0.7, f_n)
         for i, value in enumerate(f_n):
             one = plane_line(sys, 0.7, [value])
-            for field in dataclasses.fields(engine.Batch):
-                row = getattr(batch, field.name)[..., i]
-                alone = getattr(one, field.name)[..., 0]
-                assert np.array_equal(row, alone, equal_nan=True), field.name
+            for name in engine.Batch._fields:
+                row = getattr(batch, name)[..., i]
+                alone = getattr(one, name)[..., 0]
+                assert np.array_equal(row, alone, equal_nan=True), name
 
     def test_block_of_lines_matches_per_line_batches(self):
         # a sweep evaluates a block of F_E lines in one call; on the
@@ -116,10 +115,9 @@ class TestSpanningTree:
         f_n = np.linspace(-2000.0, 2000.0, 60)
         block = plane_line(sys, np.repeat(f_e, f_n.size), np.tile(f_n, f_e.size))
         lines = [plane_line(sys, value, f_n) for value in f_e]
-        for field in dataclasses.fields(engine.Batch):
-            joined = np.concatenate([getattr(b, field.name) for b in lines], axis=-1)
-            assert np.array_equal(getattr(block, field.name), joined, equal_nan=True), \
-                field.name
+        for name in engine.Batch._fields:
+            joined = np.concatenate([getattr(b, name) for b in lines], axis=-1)
+            assert np.array_equal(getattr(block, name), joined, equal_nan=True), name
         assert 0 < (block.status == engine.OK).sum() < block.status.size
 
     def test_analyze_point_is_a_view_of_the_batch(self):
@@ -417,11 +415,11 @@ def test_census_box_keeps_the_contract(points, kappa):
         with pytest.raises(cls, match=f"^{re.escape(message)}$"):
             engine.raise_for_status(code)
     ok = batch.status == engine.OK
-    for field in dataclasses.fields(batch):
-        values = getattr(batch, field.name)[..., ok]
-        assert not np.isinf(values).any(), field.name
+    for name in batch._fields:
+        values = getattr(batch, name)[..., ok]
+        assert not np.isinf(values).any(), name
         # the cycle predictor and the figures of merit are NaN where undefined
-        assert field.name in ("pq", "cop", "eta") or not np.isnan(values).any(), field.name
+        assert name in ("pq", "cop", "eta") or not np.isnan(values).any(), name
 
     k, rho, cur = batch.k[:, ok], batch.rho[:, ok], batch.currents[:, ok]
     flux = np.maximum(k[_EXCITE] * rho[_LOWER], k[_RELAX] * rho[_UPPER]).max(axis=0)

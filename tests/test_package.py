@@ -58,11 +58,11 @@ def test_unknown_name_raises_attribute_error():
 
 
 def test_root_reads_the_current_binding(monkeypatch):
-    # a binding patched in its module after first use is what the root
-    # returns: perfbench's span tracer relies on it
-    assert qdicc.analyze_point is qdicc.icc.analyze_point
+    # a binding patched in its module after first use is what the root and
+    # cli return: perfbench's span tracer relies on it
+    assert qdicc.analyze_point is qdicc.cli.analyze_point is qdicc.icc.analyze_point
     monkeypatch.setattr(qdicc.icc, "analyze_point", object())
-    assert qdicc.analyze_point is qdicc.icc.analyze_point
+    assert qdicc.analyze_point is qdicc.cli.analyze_point is qdicc.icc.analyze_point
 
 
 def test_invert_forces_lives_beside_forces():
@@ -86,3 +86,28 @@ def test_import_config_loads_only_the_engine_path():
     assert _loaded("import qdicc.config") == {
         "qdicc", "qdicc.errors", "qdicc._kernels", "qdicc.model", "qdicc.engine",
         "qdicc.config"}
+
+
+# the sweep path: no kinetics, steadystate, transport, thermo or icc
+SWEEP_PATH = {"qdicc", "qdicc.errors", "qdicc._kernels", "qdicc.model", "qdicc.engine",
+              "qdicc.config", "qdicc.cli"}
+
+
+def test_import_cli_loads_only_the_sweep_path():
+    assert _loaded("import qdicc.cli") == SWEEP_PATH
+
+
+def test_sweep_loads_only_the_sweep_path(tmp_path):
+    cfg = tmp_path / "plane.cfg"
+    cfg.write_text("eps_b = 1.0\neps_u = 2.5\nkappa = -1.5\nbeta_r = 1.0\nmu_r = 1.0\n"
+                   "mu_u = 3.0\nF_E_min = 0.1\nF_E_max = 1.9\nF_E_steps = 3\n"
+                   "F_N_min = 0.1\nF_N_max = 1.9\nF_N_steps = 3\n")
+    out = tmp_path / "plane.csv"
+    assert _loaded(f"from qdicc.cli import main; "
+                   f"assert main(['sweep', '--config', {str(cfg)!r}, "
+                   f"'--out', {str(out)!r}]) == 0") == SWEEP_PATH
+    assert len(out.read_text().splitlines()) == 10
+
+
+def test_submodule_resolves_on_access():
+    assert "qdicc.icc" in _loaded("import qdicc; assert qdicc.icc is sys.modules['qdicc.icc']")
