@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import suppress
 from itertools import chain
 
 import numpy as np
@@ -70,32 +71,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _solve_record(cfg: dict, tol_sign: float) -> list[str]:
-    axis_keys = [k for k in cfg if k.endswith(("_min", "_max", "_steps"))]
-    if axis_keys:
-        raise ConfigError(
-            f"solve takes point forces, not sweep axes ({', '.join(sorted(axis_keys))}); "
-            "use the sweep or classify-map command"
-        )
-    sys_params = build_system(cfg)
-    raw = cfg["setup"] == "raw"
-    if raw:
-        baths, beta, mu_l = raw_baths(cfg), cfg["beta_l"], cfg["mu_l"]
-    else:
-        f_e, f_n = cfg.get("F_E", 0.0), cfg.get("F_N", 0.0)
-        baths, beta, mu_l = point_baths(cfg, f_e, f_n)
-    batch = engine.evaluate(sys_params, *baths, tol_sign=tol_sign)
-    engine.raise_for_status(batch.status[0])
-    if raw:
-        f_e, f_n = batch.forces[1:, 0]
-    return b"".join(record_fields(f_e, f_n, beta, mu_l, batch)).decode().rstrip("\n").split(",")
-
-
 def _block_batch(payload):
     """One engine call over a block of consecutive F_E grid lines, or over a
     column chunk of one line, in row-major order: ``(f_e, f_n, beta, mu_l,
-    batch)``.  ``build_sweep_spec`` has checked the block's baths, so every
-    failure is a batch row's status."""
+    batch)``.  ``build_sweep_spec`` has checked a sweep block's baths, so
+    every failure is a batch row's status; for ``solve``'s 1x1 grid,
+    ``point_baths`` raises on a derived beta that is not positive."""
     sys_params, cfg, tol_sign, f_e_values, f_n_values = payload[:5]
     f_e = np.repeat(f_e_values, len(f_n_values))
     f_n = np.tile(f_n_values, len(f_e_values))
@@ -168,23 +149,35 @@ def _write_lines(out: str, chunks) -> None:
             fh.writelines(chunks)
 
 
-def _cmd_solve(args) -> int:
-    cfg = load_config(args.config)
-    record = _solve_record(cfg, args.tol_sign)
+def _cmd_solve(cfg: dict, args) -> int:
+    axis_keys = [k for k in cfg if k.endswith(("_min", "_max", "_steps"))]
+    if axis_keys:
+        raise ConfigError(
+            f"solve takes point forces, not sweep axes ({', '.join(sorted(axis_keys))}); "
+            "use the sweep or classify-map command"
+        )
+    sys_params = build_system(cfg)
+    if cfg["setup"] == "raw":
+        batch = engine.evaluate(sys_params, *raw_baths(cfg), tol_sign=args.tol_sign)
+        fields = (*batch.forces[1:, 0], cfg["beta_l"], cfg["mu_l"], batch)
+    else:
+        # the 1x1 grid of the sweep at the point forces
+        fields = _block_batch((sys_params, cfg, args.tol_sign, np.array([cfg.get("F_E", 0.0)]),
+                               np.array([cfg.get("F_N", 0.0)])))
+    engine.raise_for_status(fields[-1].status[0])
+    record = b"".join(record_fields(*fields)).decode().rstrip("\n").split(",")
     _write_lines(args.out, ["".join(f"{name} = {value}\n"
                                     for name, value in zip(COLUMNS, record)).encode()])
     return 0
 
 
-def _cmd_sweep(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_sweep(cfg: dict, args) -> int:
     _spec, chunks = _iter_chunks(cfg, args.tol_sign, args.threads, _sweep_row)
     _write_lines(args.out, chain([(",".join(COLUMNS) + "\n").encode()], chunks))
     return 0
 
 
-def _cmd_classify_map(args) -> int:
-    cfg = load_config(args.config)
+def _cmd_classify_map(cfg: dict, args) -> int:
     spec, chunks = _iter_chunks(cfg, args.tol_sign, args.threads, _map_row)
     legend = " ".join(f"{code}={name}" for name, code in
                       zip([r.value for r in engine.REGIMES] + ["error"], MAP_CODES))
@@ -198,22 +191,27 @@ def _cmd_classify_map(args) -> int:
     return 0
 
 
+def _report(code: int, line: str) -> int:
+    """Print ``line`` on standard error unless it is closed (None, or a
+    stream on a dead descriptor), and return ``code``."""
+    if sys.stderr is not None:
+        with suppress(OSError):
+            print(line, file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        return args.handler(load_config(args.config), args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        return _report(2, f"config error: {exc}")
     except OSError as exc:
-        print(f"output error: {exc}", file=sys.stderr)
-        return 2
+        return _report(2, f"output error: {exc}")
     except (PreconditionError, ValueError) as exc:
-        print(f"precondition error: {exc}", file=sys.stderr)
-        return 3
+        return _report(3, f"precondition error: {exc}")
     except NumericalError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 4
+        return _report(4, f"numerical error: {exc}")
 
 
 def __getattr__(name):

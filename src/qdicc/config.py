@@ -134,14 +134,14 @@ def point_baths(cfg: dict, f_e, f_n):
         beta, mu_l = invert_forces(f_e, f_n, beta_r, mu_r)
         betas = (beta, beta_r, beta)
     elif setup == "thermoelectric":
-        beta = beta_r - f_e
+        with np.errstate(all="ignore"):  # BAD_BATHS marks beta_r = 0 and inf - inf
+            beta = beta_r - f_e
+            mu_l = mu_r - np.divide(f_n, beta_r)
         if np.any(beta <= 0):
             f_e = np.broadcast_to(f_e, np.shape(beta))[np.asarray(beta) <= 0][0]
             raise ValueError(
                 f"force F_E={f_e} needs beta_r > {f_e} to keep beta_u positive"
             )
-        with np.errstate(all="ignore"):  # beta_r = 0 is left to BAD_BATHS
-            mu_l = mu_r - np.divide(f_n, beta_r)
         betas = (beta_r, beta_r, beta)
     else:
         raise PreconditionError("raw setup does not support force coordinates")

@@ -192,16 +192,16 @@ def invert_forces(f_e, f_n, beta_r: float, mu_r: float):
     beta = beta_r + f_e and mu_l = (beta_r mu_r - f_n) / beta; composing
     with the macroscopic force formulas round-trips exactly.  ``f_e`` and
     ``f_n`` are scalars or arrays, and a beta that is not positive raises
-    ValueError naming the first such force.  A mu_l that overflows is left
-    infinite, for the engine's BAD_BATHS gate to mark.
+    ValueError naming the first such force.  An overflow or a nan is left
+    in beta and mu_l, for the engine's BAD_BATHS gate to mark.
     """
-    beta = beta_r + f_e
-    if np.any(beta <= 0):
-        f_e = np.broadcast_to(f_e, np.shape(beta))[np.asarray(beta) <= 0][0]
-        raise ValueError(
-            f"force f_e={f_e} needs beta_r > {-f_e} to keep beta positive"
-        )
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        beta = beta_r + f_e
+        if np.any(beta <= 0):
+            f_e = np.broadcast_to(f_e, np.shape(beta))[np.asarray(beta) <= 0][0]
+            raise ValueError(
+                f"force f_e={f_e} needs beta_r > {-f_e} to keep beta positive"
+            )
         mu_l = (beta_r * mu_r - f_n) / beta
     return beta, mu_l
 

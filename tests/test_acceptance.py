@@ -74,7 +74,7 @@ def draw_config(rng):
 
 
 @pytest.fixture(scope="module", autouse=True)
-def jit_warmup():
+def warm_up():
     # run each code path once so that first-call costs (imports, numpy
     # dispatch set-up) stay out of the timed sections below
     sys = SystemParams(eps_b=1.0, eps_u=2.5, kappa=-1.5)
@@ -85,7 +85,7 @@ def jit_warmup():
 
 
 @pytest.fixture(scope="module")
-def bulk(jit_warmup):
+def bulk(warm_up):
     """The shared 1000-configuration random draw set with derived data."""
     rng = np.random.default_rng(SEED)
     rows = []
@@ -116,7 +116,7 @@ def bulk(jit_warmup):
 
 
 @pytest.fixture(scope="module")
-def regime_sweep(jit_warmup):
+def regime_sweep(warm_up):
     """Single-threaded regime classification over the level-swapped grid."""
     sys = SystemParams(eps_b=EPS_B, eps_u=EPS_U, kappa=-1.5)
     cells = []
@@ -192,7 +192,7 @@ def test_zero_force_zero_current():
 
 
 @criterion(6, "single-force sign structure of both couplings")
-def test_single_force_sign_structure(jit_warmup):
+def test_single_force_sign_structure(warm_up):
     grid = np.linspace(0.01, 3.0, 300)
 
     def line(kappa, f_e_of, f_n_of):
@@ -240,7 +240,7 @@ def test_inverse_regions(regime_sweep):
 
 
 @criterion(8, "repulsive coupling kills every inverse region")
-def test_repulsive_coupling_has_no_inverse_cells(jit_warmup):
+def test_repulsive_coupling_has_no_inverse_cells(warm_up):
     sys = SystemParams(eps_b=EPS_B, eps_u=EPS_U, kappa=+1.5)
     banned = {Regime.ICC_ENERGY, Regime.ICC_PARTICLE,
               Regime.PSEUDO_ICC_ENERGY, Regime.PSEUDO_ICC_PARTICLE}
@@ -253,7 +253,7 @@ def test_repulsive_coupling_has_no_inverse_cells(jit_warmup):
 
 
 @criterion(9, "cycle-direction predictor matches the solver")
-def test_cycle_predictor_sign_rule(jit_warmup):
+def test_cycle_predictor_sign_rule(warm_up):
     rng = np.random.default_rng(SEED + 1)
     strict = 0
     for _ in range(N_DRAWS):

@@ -1,5 +1,6 @@
 """Command-line surface: config parsing, outputs, determinism, exit codes."""
 import contextlib
+import errno
 import io
 import math
 import re
@@ -105,6 +106,13 @@ BAD_STEPS = ["-1", "0", "1", "2.5", "two", "10000000000000"]
 # setup a sweep takes
 COUPLINGS = [("kappa",), ("kappa",), ("kappa_c", "kappa_s"), ("kappa_c", "kappa_s"),
              ("kappa", "kappa_c"), ("kappa_s",)]
+
+
+class DeadStream(io.StringIO):
+    """A text stream on a closed descriptor: every write raises EBADF."""
+
+    def write(self, text):
+        raise OSError(errno.EBADF, "Bad file descriptor")
 
 
 def write(tmp_path, name, text):
@@ -637,6 +645,19 @@ class TestExitCodes:
         assert main([command, "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert err == "output error: standard output is closed\n"
+
+    @pytest.mark.parametrize("stderr", [None, DeadStream()], ids=["none", "dead-descriptor"])
+    @pytest.mark.parametrize("text, code", [("eps_b = 1\n", 2),
+                                            (POINT_CONFIG.replace("F_E = 0.0", "F_E = -9"), 3)],
+                             ids=["missing-key", "bad-bath"])
+    def test_closed_stderr(self, tmp_path, capsys, monkeypatch, stderr, text, code):
+        # with standard error closed (None at start-up, or a stream whose
+        # descriptor is gone) the error line is dropped, the exit code
+        # stands and nothing goes to stdout
+        cfg = write(tmp_path, "run.cfg", text)
+        monkeypatch.setattr(sys, "stderr", stderr)
+        assert main(["solve", "--config", cfg]) == code
+        assert capsys.readouterr().out == ""
 
     @settings(max_examples=50, deadline=None)
     @given(st.fixed_dictionaries({key: st.sampled_from(BATH_VALUES)

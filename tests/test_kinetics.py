@@ -251,6 +251,9 @@ class TestNetTransitionRate:
 class TestPopulationVector:
     def test_validation(self):
         PopulationVector(np.array([0.25, 0.25, 0.25, 0.25]))
+        pv = PopulationVector(np.array([0.125, 0.25, 0.5, 0.125]))
+        assert [pv[s] for s in StateIndex] == [0.125, 0.25, 0.5, 0.125]
+        assert pv[2] == 0.5 and type(pv[2]) is float
         with pytest.raises(ValueError):
             PopulationVector(np.array([0.5, 0.5, 0.1, -0.1]))
         with pytest.raises(ValueError):
@@ -288,6 +291,7 @@ class TestEvolve:
         rho0 = np.array([0.1, 0.2, 0.3, 0.4])
         traj = evolve(rho0, np.zeros((4, 4)), dt=0.01, t_end=1.0)
         assert np.allclose(traj.populations, rho0, atol=0)
+        assert len(traj) == len(traj.times) == 101
 
     def test_simplex_preserved(self):
         rng = np.random.default_rng(91)

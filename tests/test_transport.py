@@ -81,6 +81,7 @@ class TestConservation:
         for _ in range(50):
             _, _, cs = solve_currents(random_system(rng), random_baths(rng))
             assert cs.j_n_l == pytest.approx(-cs.j_n_r, abs=1e-13)
+            assert cs.j_e_l == cs.j_e[0] == pytest.approx(-(cs.j_e_r + cs.j_e_u), abs=1e-12)
 
     def test_upper_energy_current_is_kappa_times_cycle_flux(self):
         rng = np.random.default_rng(39)
