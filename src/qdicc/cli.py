@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__, engine
 from .config import (COLUMNS, build_sweep_spec, build_system, load_config,
-                     point_baths, raw_baths, record_fields)
+                     point_baths, record_fields)
 from .errors import ConfigError, NumericalError, PreconditionError
 
 # the map's code of each engine regime code; index -1 marks a failed or
@@ -73,15 +73,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _block_batch(payload):
     """One engine call over a block of consecutive F_E grid lines, or over a
-    column chunk of one line, in row-major order: ``(f_e, f_n, beta, mu_l,
-    batch)``.  ``build_sweep_spec`` has checked a sweep block's baths, so
-    every failure is a batch row's status; for ``solve``'s 1x1 grid,
-    ``point_baths`` raises on a derived beta that is not positive."""
+    column chunk of one line, in row-major order: the record fields
+    ``(f_e, f_n, beta, mu_l)`` of ``point_baths``, then the batch.
+    ``build_sweep_spec`` has checked a sweep block's baths, so every
+    failure is a batch row's status; for ``solve``'s 1x1 grid,
+    ``point_baths`` raises on a missing bath key or a derived beta that
+    is not positive, and a raw config's baths give its forces."""
     sys_params, cfg, tol_sign, f_e_values, f_n_values = payload[:5]
     f_e = np.repeat(f_e_values, len(f_n_values))
     f_n = np.tile(f_n_values, len(f_e_values))
-    baths, beta, mu_l = point_baths(cfg, f_e, f_n)
-    return f_e, f_n, beta, mu_l, engine.evaluate(sys_params, *baths, tol_sign=tol_sign)
+    baths, *fields = point_baths(cfg, f_e, f_n)
+    return (*fields, engine.evaluate(sys_params, *baths, tol_sign=tol_sign))
 
 
 def _sweep_row(payload) -> list[bytes]:
@@ -156,14 +158,9 @@ def _cmd_solve(cfg: dict, args) -> int:
             f"solve takes point forces, not sweep axes ({', '.join(sorted(axis_keys))}); "
             "use the sweep or classify-map command"
         )
-    sys_params = build_system(cfg)
-    if cfg["setup"] == "raw":
-        batch = engine.evaluate(sys_params, *raw_baths(cfg), tol_sign=args.tol_sign)
-        fields = (*batch.forces[1:, 0], cfg["beta_l"], cfg["mu_l"], batch)
-    else:
-        # the 1x1 grid of the sweep at the point forces
-        fields = _block_batch((sys_params, cfg, args.tol_sign, np.array([cfg.get("F_E", 0.0)]),
-                               np.array([cfg.get("F_N", 0.0)])))
+    # the 1x1 grid of the sweep at the point forces
+    fields = _block_batch((build_system(cfg), cfg, args.tol_sign,
+                           np.array([cfg.get("F_E", 0.0)]), np.array([cfg.get("F_N", 0.0)])))
     engine.raise_for_status(fields[-1].status[0])
     record = b"".join(record_fields(*fields)).decode().rstrip("\n").split(",")
     _write_lines(args.out, ["".join(f"{name} = {value}\n"

@@ -12,7 +12,7 @@ beta_r, mu_r    right-lead inverse temperature and chemical potential
 mu_u            upper-lead chemical potential (default: mu_r)
 gamma           common tunneling rate (default 1.0)
 setup           icc | thermoelectric | raw (default icc)
-F_E, F_N        point forces for ``solve``
+F_E, F_N        point forces for ``solve``; not in the raw setup
 F_E_min/max/steps, F_N_min/max/steps   sweep axes
 beta_l, beta_u, mu_l                   raw setup only
 ==============  =====================================================
@@ -21,7 +21,8 @@ In the ``icc`` setup (beta_l = beta_u) the forces are (f_e_r, f_n_r) and
 the derived parameters are beta = beta_r + F_E and mu_l; in the
 ``thermoelectric`` setup (beta_l = beta_r) they are (f_e_u, f_n_r) with
 derived beta_u = beta_r - F_E.  ``raw`` takes all six bath parameters
-explicitly and supports ``solve`` only.
+explicitly and supports ``solve`` only.  ``F_E`` and ``F_N`` in the raw
+setup, or a raw-only key in another setup, is a ConfigError.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .engine import ERRORS, OK, REGIMES, Batch, invert_forces
+from .engine import ERRORS, OK, REGIMES, Batch, forces, invert_forces
 from .errors import ConfigError, NumericalError, PreconditionError
 from .model import SystemParams
 
@@ -82,6 +83,9 @@ def parse_config_text(text: str) -> dict:
     setup = cfg.setdefault("setup", "icc")
     if setup not in SETUPS:
         raise ConfigError(f"setup must be one of {SETUPS}, got {setup!r}")
+    for key in ("F_E", "F_N") if setup == "raw" else ("beta_l", "beta_u", "mu_l"):
+        if key in cfg:
+            raise ConfigError(f"{key} is not accepted in the {setup} setup")
     return cfg
 
 
@@ -118,18 +122,23 @@ def build_system(cfg: dict) -> SystemParams:
 def point_baths(cfg: dict, f_e, f_n):
     """Baths realizing forces (f_e, f_n) in the configured setup.
 
-    Returns the (l, r, u) triples of beta, mu and gamma that
-    :func:`qdicc.engine.evaluate` takes, the derived beta and mu_l; ``f_e``
-    and ``f_n`` are scalars or arrays over the same grid points, and beta
-    and mu_l follow their shapes.  The derived beta is beta_l = beta_u for
-    the two-force setup and beta_u for the thermoelectric one; a derived
-    beta that is not positive raises ValueError naming the first such
-    force.  The engine's BAD_BATHS gate checks everything else.
+    Returns ``(baths, f_e, f_n, beta, mu_l)``: the (l, r, u) triples of
+    beta, mu and gamma that :func:`qdicc.engine.evaluate` takes, the forces
+    of the record and the derived beta and mu_l.  ``f_e`` and ``f_n`` are
+    scalars or arrays over the same grid points, and beta and mu_l follow
+    their shapes.  The derived beta is beta_l = beta_u for the two-force
+    setup and beta_u for the thermoelectric one; a derived beta that is
+    not positive raises ValueError naming the first such force.  The raw
+    setup ignores the given forces: it reads all six bath parameters and
+    returns the forces (f_e_r, f_n_r) its baths make, with beta_l and mu_l.
+    The engine's BAD_BATHS gate checks everything else.
     """
+    setup = cfg["setup"]
+    if setup == "raw":
+        _require(cfg, "beta_l", "beta_r", "beta_u", "mu_l", "mu_r", "mu_u")
     _require(cfg, "beta_r", "mu_r")
     beta_r, mu_r = cfg["beta_r"], cfg["mu_r"]
     mu_u, gamma = cfg.get("mu_u", mu_r), cfg.get("gamma", 1.0)
-    setup = cfg["setup"]
     if setup == "icc":
         beta, mu_l = invert_forces(f_e, f_n, beta_r, mu_r)
         betas = (beta, beta_r, beta)
@@ -144,19 +153,10 @@ def point_baths(cfg: dict, f_e, f_n):
             )
         betas = (beta_r, beta_r, beta)
     else:
-        raise PreconditionError("raw setup does not support force coordinates")
-    return (betas, (mu_l, mu_r, mu_u), (gamma, gamma, gamma)), beta, mu_l
-
-
-def raw_baths(cfg: dict):
-    """The (l, r, u) triples of beta, mu and gamma of the raw setup."""
-    _require(cfg, "beta_l", "beta_r", "beta_u", "mu_l", "mu_r", "mu_u")
-    for key in ("F_E", "F_N"):
-        if key in cfg:
-            raise ConfigError(f"{key} is not accepted in the raw setup")
-    gamma = cfg.get("gamma", 1.0)
-    return ((cfg["beta_l"], cfg["beta_r"], cfg["beta_u"]),
-            (cfg["mu_l"], cfg["mu_r"], cfg["mu_u"]), (gamma, gamma, gamma))
+        beta, mu_l = cfg["beta_l"], cfg["mu_l"]
+        betas = (beta, beta_r, cfg["beta_u"])
+        f_e, f_n = forces(betas, (mu_l, mu_r, mu_u))[1:]
+    return (betas, (mu_l, mu_r, mu_u), (gamma, gamma, gamma)), f_e, f_n, beta, mu_l
 
 
 class SweepSpec(NamedTuple):

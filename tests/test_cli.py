@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from qdicc import ConfigError, cli, engine
 from qdicc.cli import main
 from qdicc.config import (COLUMNS, MAX_AXIS_STEPS, STATUS_WORDS, build_sweep_spec,
-                          build_system, parse_config_text)
+                          build_system, parse_config_text, record_fields)
+from qdicc.model import SystemParams
 
 from conftest import BETA_R, EPS_B, EPS_U, KAPPA_ATTRACTIVE, MU_R, MU_U
 
@@ -223,6 +224,12 @@ class TestSolve:
         assert record["regime"] == ""
         assert record["PQ"] == ""
         assert float(record["F_E"]) == pytest.approx(0.5)
+        # every cell bit for bit: the engine on RAW_CONFIG's six bath values,
+        # with the forces those baths make and beta_l, mu_l
+        batch = engine.evaluate(SystemParams(eps_b=EPS_B, eps_u=EPS_U, kappa=KAPPA_ATTRACTIVE),
+                                (1.5, 1.0, 0.9), (0.2, 1.0, 0.5), (1.0, 1.0, 1.0))
+        cells = b"".join(record_fields(*batch.forces[1:, 0], 1.5, 0.2, batch))
+        assert record == dict(zip(COLUMNS, cells.decode().rstrip("\n").split(",")))
 
     def test_output_file(self, tmp_path):
         cfg = write(tmp_path, "point.cfg", POINT_CONFIG)
@@ -795,6 +802,12 @@ class TestExitCodes:
          "setup must be one of"),
         ("sweep", SWEEP_CONFIG + "kappa_c = 1.0\n", "pass either kappa or"),
         ("solve", RAW_CONFIG + "F_E = 0.5\n", "F_E is not accepted in the raw setup"),
+        # the raw-only baths used to be ignored outside the raw setup, exit 0
+        ("solve", POINT_CONFIG + "beta_l = 7.0\n", "beta_l is not accepted in the icc setup"),
+        ("solve", THERMOELECTRIC_CONFIG + "mu_l = -3.0\n",
+         "mu_l is not accepted in the thermoelectric setup"),
+        ("sweep", SWEEP_CONFIG + "beta_u = 0.5\n", "beta_u is not accepted in the icc setup"),
+        ("classify-map", SWEEP_CONFIG + "mu_l = -3.0\n", "mu_l is not accepted in the icc setup"),
         ("sweep", SWEEP_CONFIG.replace("F_E_steps = 7", "F_E_steps = 1"),
          "sweep axes need at least 2 steps each"),
         # an axis this long used to exit 1 with numpy's allocation error
@@ -808,7 +821,9 @@ class TestExitCodes:
         ("classify-map", SWEEP_CONFIG.replace("F_E_min = 0.1", "F_E_min = 1e308")
          .replace("F_E_max = 1.9", "F_E_max = -1e308"), "sweep axes need a finite span"),
     ], ids=["missing-key", "no-equals", "non-integer-steps", "unknown-setup",
-            "kappa-and-kappa_c", "F_E-in-raw", "one-step", "sweep-10^13-steps",
+            "kappa-and-kappa_c", "F_E-in-raw", "beta_l-in-icc-solve",
+            "mu_l-in-thermoelectric-solve", "beta_u-in-sweep", "mu_l-in-classify-map",
+            "one-step", "sweep-10^13-steps",
             "map-10^13-steps", "sweep-span-past-the-float-range",
             "map-span-past-the-float-range"])
     def test_config_errors(self, tmp_path, capsys, command, text, message):
