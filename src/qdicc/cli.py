@@ -11,7 +11,7 @@ import argparse
 import os
 import sys
 from contextlib import suppress
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -26,7 +26,7 @@ MAP_CODES = "0.xyenEN!"
 _MAP_BYTES = np.frombuffer(MAP_CODES.encode(), np.uint8)
 
 # grid points per engine call at most: bounds the arrays of a block on
-# large grids, and a longer F_E line goes in column chunks
+# large grids
 _BLOCK_POINTS = 4096
 
 
@@ -63,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", default="-", help="output path, or - for stdout")
         cmd.add_argument("--threads", type=_checked(int, lambda v: v >= 1, "at least 1"),
                          default=1, help="worker processes for sweeps (default 1; at most "
-                                         "one per F_E line and per CPU)")
+                                         "one per F_E line and per usable CPU)")
         cmd.add_argument("--tol-sign", type=_checked(float, lambda v: 0 <= v < np.inf,
                                                      "finite and non-negative"),
                          default=engine.TOL_SIGN,
@@ -72,16 +72,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _block_batch(payload):
-    """One engine call over a block of consecutive F_E grid lines, or over a
-    column chunk of one line, in row-major order: the record fields
-    ``(f_e, f_n, beta, mu_l)`` of ``point_baths``, then the batch.
-    ``build_sweep_spec`` has checked a sweep block's baths, so every
-    failure is a batch row's status; for ``solve``'s 1x1 grid,
-    ``point_baths`` raises on a missing bath key or a derived beta that
-    is not positive, and a raw config's baths give its forces."""
-    sys_params, cfg, tol_sign, f_e_values, f_n_values = payload[:5]
-    f_e = np.repeat(f_e_values, len(f_n_values))
-    f_n = np.tile(f_n_values, len(f_e_values))
+    """One engine call over a block of grid points at the forces ``f_e``,
+    ``f_n``: the record fields ``(f_e, f_n, beta, mu_l)`` of ``point_baths``,
+    then the batch.  ``build_sweep_spec`` has checked a sweep block's
+    baths, so every failure is a batch row's status; for ``solve``'s 1x1
+    grid, ``point_baths`` raises on a missing bath key or a derived beta
+    that is not positive, and a raw config's baths give its forces."""
+    sys_params, cfg, tol_sign, f_e, f_n = payload[:5]
     baths, *fields = point_baths(cfg, f_e, f_n)
     return (*fields, engine.evaluate(sys_params, *baths, tol_sign=tol_sign))
 
@@ -93,45 +90,47 @@ def _sweep_row(payload) -> list[bytes]:
 
 
 def _map_row(payload) -> list[bytes]:
-    """The map rows of one block of F_E grid lines, read off the engine's
-    status and regime codes, each ended by a newline unless the payload is
-    a column chunk short of its line's end; importable so workers can
-    pickle it."""
-    f_n_values, ends_lines = payload[4:]
+    """The map text of one block: each point's code, read off the engine's
+    status and regime codes, and a newline after each ``line_ends`` point;
+    importable so workers can pickle it."""
     batch = _block_batch(payload)[-1]
-    codes = np.where(batch.status == engine.OK, batch.regime, -1)
-    rows = _MAP_BYTES[codes].reshape(-1, len(f_n_values))
-    if ends_lines:
-        rows = np.concatenate((rows, np.full((len(rows), 1), ord("\n"), np.uint8)), axis=1)
-    return [rows.tobytes()]
+    codes = _MAP_BYTES[np.where(batch.status == engine.OK, batch.regime, -1)]
+    return [np.insert(codes, np.flatnonzero(payload[5]) + 1, ord("\n")).tobytes()]
 
 
 def _iter_chunks(cfg: dict, tol_sign: float, threads: int, render):
     """Validate the sweep once, then return its spec and an iterator over
-    the byte chunks that ``render(payload)`` gives for each block of at
-    most ``_BLOCK_POINTS`` grid points, in grid order; a bad config raises
-    here, before any output."""
+    the byte chunks that ``render(payload)`` gives for each block, in grid
+    order; a bad config raises here, before any output.  Point ``i *
+    F_N_steps + j`` is line i, column j; a block is a run of at most
+    ``_BLOCK_POINTS`` consecutive points, a block for every worker, and its
+    payload ``(sys_params, cfg, tol_sign, f_e, f_n, line_ends)`` holds each
+    point's forces and whether it ends its line."""
     spec = build_sweep_spec(cfg)
     sys_params = build_system(cfg)
     f_e_values, f_n_values = spec.f_e_values(), spec.f_n_values()
+    points = spec.f_e_steps * spec.f_n_steps
 
-    # a pool starts every worker it is given: no more than lines or CPUs
-    workers = min(threads, spec.f_e_steps, os.cpu_count() or 1)
-    # lines per block: a bounded engine call, and a block for every worker;
-    # columns per block: all of a line, or chunks of a line too long for one
-    size = max(1, min(_BLOCK_POINTS // spec.f_n_steps, -(-spec.f_e_steps // workers)))
-    width = min(spec.f_n_steps, _BLOCK_POINTS)
-    # each payload ends with whether its columns reach the end of the line
-    payloads = ((sys_params, cfg, tol_sign, f_e_values[i:i + size], f_n_values[j:j + width],
-                 j + width >= spec.f_n_steps)
-                for i in range(0, spec.f_e_steps, size) for j in range(0, spec.f_n_steps, width))
+    # a pool starts every worker it is given: no more than lines or usable CPUs
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    workers = min(threads, spec.f_e_steps, cpus)
+    size = min(_BLOCK_POINTS, -(-points // workers))
+    grid = (np.divmod(np.arange(start, min(start + size, points)), spec.f_n_steps)
+            for start in range(0, points, size))
+    payloads = ((sys_params, cfg, tol_sign, f_e_values[line], f_n_values[column],
+                 column == spec.f_n_steps - 1) for line, column in grid)
 
     def blocks():
         if workers > 1:
             # imported here: the pool machinery costs every CLI start ~20 ms
             from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                yield from pool.map(render, payloads)
+                # pool.map would take every payload at once: workers + 1 in flight
+                pending = [pool.submit(render, item) for item in islice(payloads, workers)]
+                while pending:
+                    pending += [pool.submit(render, item) for item in islice(payloads, 1)]
+                    yield pending.pop(0).result()
         else:
             yield from map(render, payloads)
 

@@ -6,6 +6,7 @@ import math
 import re
 import subprocess
 import sys
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -308,7 +309,7 @@ class TestSweep:
 
     def test_threads_capped_at_lines_and_cpus(self, tmp_path, monkeypatch):
         # a process pool starts every worker it is given; the fake pool
-        # records how many it was asked for and maps serially
+        # records how many it was asked for and runs each block at once
         sizes = []
 
         class Pool:
@@ -321,27 +322,41 @@ class TestSweep:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def submit(self, fn, item):
+                future = Future()
+                future.set_result(fn(item))
+                return future
 
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Pool)
         cfg = write(tmp_path, "sweep.cfg", SWEEP_CONFIG)
         serial, capped = tmp_path / "serial.csv", tmp_path / "capped.csv"
         main(["sweep", "--config", cfg, "--out", str(serial)])
-        for cpus in (64, 3):
-            monkeypatch.setattr("os.cpu_count", lambda cpus=cpus: cpus)
+        # the cap counts the CPUs this process may run on
+        for cpus in (64, 3, 1):
+            monkeypatch.setattr("os.sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)),
+                                raising=False)
             main(["sweep", "--config", cfg, "--out", str(capped), "--threads", "100000"])
             assert capped.read_bytes() == serial.read_bytes()
-        assert sizes == [7, 3]  # 7 F_E lines, then 3 CPUs
+        assert sizes == [7, 3]  # 7 F_E lines, then 3 CPUs; one CPU makes no pool
 
-    @pytest.mark.parametrize("command", ["sweep", "classify-map"])
-    def test_long_lines_go_in_bounded_engine_calls(self, tmp_path, monkeypatch, command):
-        # a line longer than a block goes in column chunks: every engine call
-        # of a 2 x 10^4 grid holds at most _BLOCK_POINTS points, and the
-        # output bytes are those of one call per line
-        text = SWEEP_CONFIG.replace("F_E_steps = 7", "F_E_steps = 2") \
-                           .replace("F_N_steps = 5", "F_N_steps = 10000")
+    @pytest.mark.parametrize("command, lines, columns, block", [
+        pytest.param(command, lines, columns, block, id=command + grid)
+        for lines, columns, block, grid in (
+            (2, 10000, 4096, ""),        # lines longer than a block
+            (2, 5000, 4096, "-2x5000"),  # the first block runs past the first line's end
+            (7, 5, 7, "-7x5"),           # every block but the last straddles a line end
+        )
+        for command in ("sweep", "classify-map")
+    ])
+    def test_long_lines_go_in_bounded_engine_calls(self, tmp_path, monkeypatch, command,
+                                                   lines, columns, block):
+        # a block is a run of consecutive grid points, cut across line ends:
+        # every engine call holds at most _BLOCK_POINTS points, and the
+        # output bytes are those of one call over the whole grid
+        text = SWEEP_CONFIG.replace("F_E_steps = 7", f"F_E_steps = {lines}") \
+                           .replace("F_N_steps = 5", f"F_N_steps = {columns}")
         cfg = write(tmp_path, "long.cfg", text)
+        monkeypatch.setattr(cli, "_BLOCK_POINTS", block)
         sizes = []
         evaluate = engine.evaluate
 
@@ -352,16 +367,16 @@ class TestSweep:
         monkeypatch.setattr(engine, "evaluate", recording)
         chunked, whole = tmp_path / "chunked", tmp_path / "whole"
         assert main([command, "--config", cfg, "--out", str(chunked)]) == 0
-        assert max(sizes) <= cli._BLOCK_POINTS
-        assert sum(sizes) == 2 * 10000
+        assert max(sizes) == block
+        assert sum(sizes) == lines * columns
         monkeypatch.setattr(cli, "_BLOCK_POINTS", 10**5)
         sizes.clear()
         assert main([command, "--config", cfg, "--out", str(whole)]) == 0
-        assert sizes == [2 * 10000]
+        assert sizes == [lines * columns]
         assert chunked.read_bytes() == whole.read_bytes()
         if command == "classify-map":
-            rows = [ln for ln in whole.read_text().splitlines() if not ln.startswith("#")]
-            assert [len(row) for row in rows] == [10000, 10000]
+            rows = [ln for ln in chunked.read_text().splitlines() if not ln.startswith("#")]
+            assert [len(row) for row in rows] == [columns] * lines
 
     def test_overflowing_mu_l_fails_its_line(self, tmp_path):
         # beta_r = 5e-324 keeps beta_r + F_E positive at F_E = 0, where

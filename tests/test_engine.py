@@ -529,6 +529,46 @@ def test_cycle_form_is_a_third_construction_of_sigma(draw):
     assert (np.abs(sigma - batch.sigma_macro) <= 1e-12 * entropy).all()
 
 
+def tilted_generators(k, kappa, chi):
+    """W(chi), shape (N, 4, 4), with W[j, i] the tilted rate i -> j: each
+    excitation rate (lower to upper state) times exp(chi . d) and each
+    relaxation rate times exp(-chi . d), where d = (E_u, E_r, N_r) is what
+    the excitation takes from lead u (energy omega), from lead r (energy
+    omega) and from lead r (one particle); lead-l channels have d = 0 and
+    the diagonal stays untilted.  Channels from the literal layout of
+    ``test_kinetics.TestChannelTable.INDEX``; ``chi`` is (3, 1) or (3, N)."""
+    A, B, C, D = StateIndex
+    omega = {(A, B): EPS_B, (C, D): EPS_B + kappa, (A, C): EPS_U, (B, D): EPS_U + kappa}
+    w = np.zeros((k.shape[1], 4, 4))
+    for (lead, i, j), c in test_kinetics.TestChannelTable.INDEX.items():
+        excites = (i, j) in omega
+        energy = omega[(i, j) if excites else (j, i)]
+        d = np.array((energy * (lead == Lead.U), energy * (lead == Lead.R), lead == Lead.R))
+        w[:, j, i] += k[c] * np.exp((1.0 if excites else -1.0) * d.dot(chi))
+        w[:, i, i] -= k[c]
+    return w
+
+
+@settings(max_examples=40, deadline=None)
+@given(RAW_BATHS, st.tuples(*[st.floats(-1.0, 1.0)] * 3))
+def test_gallavotti_cohen_symmetry(draw, chi):
+    """lambda(chi) = lambda(-F - chi) for the top eigenvalue lambda of the
+    tilted generator, the scaled cumulant generating function of (J_E^u,
+    J_E^r, J_N^r), at any force (Lebowitz & Spohn, J. Stat. Phys. 95, 333
+    (1999); Andrieux & Gaspard, J. Chem. Phys. 121, 6167 (2004)): the
+    forces of engine.forces are the affinities of the three currents, one
+    by one.  To within a few ulps of the larger tilted matrix's scale."""
+    kappa, points = draw
+    rows = np.array(points, dtype=float).T
+    betas, mus = rows[0:3], rows[3:6]
+    k = rate_vector(EPS_B, EPS_U, kappa, betas, mus, (rows[6],) * 3)
+    chi = np.array(chi)[:, None]
+    w, mirror = (tilted_generators(k, kappa, x) for x in (chi, -engine.forces(betas, mus) - chi))
+    top, top_mirror = (np.linalg.eigvals(m).real.max(axis=-1) for m in (w, mirror))
+    scale = np.maximum(np.abs(w).max(axis=(1, 2)), np.abs(mirror).max(axis=(1, 2)))
+    assert (np.abs(top - top_mirror) <= 16 * np.finfo(float).eps * scale).all()
+
+
 def literal_cycles(k):
     """m, n, c_l, the backward products of m and n and p/q, from the
     literal layout, each product written out left to right in walk order."""

@@ -31,7 +31,8 @@ def block(name: str, steps: int):
             text = text.replace(line, f"{line.split('=')[0]}= {steps}")
     cfg = parse_config_text(text)
     spec = build_sweep_spec(cfg)
-    return _block_batch((build_system(cfg), cfg, 1e-10, spec.f_e_values(), spec.f_n_values()))
+    f_e, f_n = np.meshgrid(spec.f_e_values(), spec.f_n_values(), indexing="ij")
+    return _block_batch((build_system(cfg), cfg, 1e-10, f_e.ravel(), f_n.ravel()))
 
 
 def scaled_fraction(x: float) -> float:
