@@ -11,8 +11,9 @@ occupations (:func:`occupations`, also behind ``model.fermi_plus``,
 (:func:`rate_vector`), the generator (:func:`generator_matrix`), channel
 fluxes (:func:`channel_fluxes`), the nine currents
 (:func:`currents_vector`), the network-form entropy (:func:`schnakenberg`)
-and the RK4 transient (:func:`rk4_evolve`, one matrix-vector product per
-policed step).  The tables ``_EXCITE``/``_RELAX``/``_LEAD``/``_LOWER``/
+and the RK4 transient (:func:`rk4_evolve`: one matrix-vector product per
+sample where RK4's one-step matrix is non-negative, else one per policed
+step).  The tables ``_EXCITE``/``_RELAX``/``_LEAD``/``_LOWER``/
 ``_UPPER`` and the transition energies of :func:`channel_energies` say which
 lead, which states and which energy each channel has;
 ``kinetics.CHANNEL_INDEX``, ``model.transition_energies`` and
@@ -38,6 +39,8 @@ Channel layout for the 12 directed reservoir-resolved rate constants::
 States are indexed A=0, B=1, C=2, D=3 throughout.
 """
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -254,33 +257,63 @@ def rk4_evolve(w, rho0, dt, n_steps, sample_stride, anchor):
 
     On a linear system a classic RK4 step is rho <- R rho with the one-step
     matrix R = I + a(I + a/2 (I + a/3 (I + a/4))), a = dt W, so R is built
-    once and each step is one matrix-vector product.  The product acts on
-    the deviation d = rho - ``anchor`` from a stationary point of W (W
-    anchor = 0 gives R anchor = anchor): the columns of R sum to 1 only up
-    to rounding, and applied to rho itself that rounding builds up a
+    once and a step is one matrix-vector product.  The product acts on the
+    deviation d = rho - ``anchor`` from a stationary point of W (W anchor =
+    0 gives R anchor = anchor): the columns of R sum to 1 only up to
+    rounding, and applied to rho itself that rounding builds up a
     normalization drift that grows with the step count, while on d it
     scales with the decaying deviation.  A zero ``anchor`` is plain R rho.
 
     Samples are recorded at step 0, every ``sample_stride`` steps and at the
-    final step.  Every step is policed, so an oversized dt fails at the
-    step where its iterate first leaves the simplex: normalization drift
-    beyond ``DRIFT_TOL`` or a population below ``-NEGATIVE_TOL`` raises
+    final step.  Each recorded state is policed: normalization drift beyond
+    ``DRIFT_TOL`` or a population below ``-NEGATIVE_TOL`` raises
     :class:`IntegrationError`; drift above ``RENORM_TOL`` is repaired by
     renormalization.
 
-    Returns (times, samples) of shapes (n,) and (n, 4).
+    The input selects how far a product reaches.  When R is entrywise >= 0
+    (a NaN entry is not), and ``rho0`` is entrywise >= 0 and sums to 1 within
+    ``RENORM_TOL``, the kernel jumps: one product with S = R^sample_stride
+    (and one with a remainder power for a final partial stride) takes d
+    from sample to sample, and the checks and the renormalization run at
+    the samples only.  The outcome is that of policing every step: R's
+    columns sum to 1, so a non-negative R maps the simplex into itself and
+    no step between two samples can fail a check, and a renormalization, a
+    scalar factor, commutes with the linear steps (R anchor = anchor); the
+    sum condition leaves no renormalization pending at step 1.  Otherwise
+    (dt near RK4's stability limit, or a ``rho0`` entry in
+    [-NEGATIVE_TOL, 0)) every step is policed, so an oversized dt fails at
+    the step where its iterate first leaves the simplex, and the error
+    names that step.
+
+    Returns (times, samples) of shapes (n,) and (n, 4), the samples written
+    into one preallocated array and the times step * dt of the sampled
+    steps.
     """
     a, one = dt * w, np.eye(4)
     r = one + a.dot(one + a.dot(one + a.dot(one + a / 4.0) / 3.0) / 2.0)
-    rho = np.array(rho0, dtype=float)
-    d = rho - anchor
-    times = [0.0]
-    samples = [rho]
-    for step in range(1, n_steps + 1):
-        d = r.dot(d)
+    steps = np.arange(0, n_steps + 1, sample_stride)
+    tail = n_steps % sample_stride
+    if tail:
+        steps = np.append(steps, n_steps)
+    samples = np.empty((len(steps), 4))
+    samples[0] = rho0
+    d = samples[0] - anchor
+    v = samples[0].tolist()
+    if (min(v) >= 0.0 and abs(v[0] + v[1] + v[2] + v[3] - 1.0) <= RENORM_TOL
+            and r.min() >= 0.0):
+        hop = np.linalg.matrix_power(r, sample_stride)
+        last = np.linalg.matrix_power(r, tail) if tail else hop
+        stops = itertools.chain(range(sample_stride, n_steps + 1, sample_stride),
+                                (n_steps,) if tail else ())
+    else:
+        hop = last = r
+        stops = range(1, n_steps + 1)
+    k = 1
+    for step in stops:
+        d = (last if step == n_steps else hop).dot(d)
         rho = anchor + d
 
-        # read once: numpy's 4-element sum and min cost ~3 us a step here;
+        # read once: numpy's 4-element sum and min cost ~3 us a pass here;
         # numpy adds 4 elements left to right (the builtin sum would not)
         v = rho.tolist()
         total = v[0] + v[1] + v[2] + v[3]
@@ -297,6 +330,6 @@ def rk4_evolve(w, rho0, dt, n_steps, sample_stride, anchor):
             rho = rho * (1.0 / total)
             d = rho - anchor
         if step % sample_stride == 0 or step == n_steps:
-            times.append(step * dt)
-            samples.append(rho)
-    return np.array(times), np.array(samples)
+            samples[k] = rho
+            k += 1
+    return steps * dt, samples

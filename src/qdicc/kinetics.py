@@ -169,15 +169,24 @@ def evolve(rho0, w, dt: float, t_end: float, sample_stride: int = 1) -> Trajecto
     """Integrate the rate equations with a fixed-step classic RK4 scheme.
 
     ``dt`` should satisfy dt <= 0.1 / max|W_ii| for comfortable accuracy;
-    the integrator does not adapt.  The kernel applies RK4's one-step
-    matrix to the deviation from the spanning-tree steady state of W (from
-    zero where that steady state is degenerate, e.g. W = 0) and polices
-    every step: normalization drift above 1e-12 is repaired by
-    renormalizing, while drift beyond 1e-9 or a population below -1e-9
-    makes the kernel itself raise :class:`IntegrationError` (shrink dt),
-    which reaches the caller unchanged.  Samples are recorded every
-    ``sample_stride`` steps (an integer >= 1) plus the initial and final
-    states.
+    the integrator does not adapt.  The step count is n = round(t_end /
+    dt), rounding half to even, so the last sample's time n * dt can
+    differ from ``t_end`` by up to dt / 2.  The kernel applies RK4's
+    one-step matrix R to the deviation from the spanning-tree steady state
+    of W (from zero where that steady state is degenerate, e.g. W = 0).
+    Samples are recorded every ``sample_stride`` steps (an integer >= 1)
+    plus the initial and final states, and each is policed: normalization
+    drift above 1e-12 is repaired by renormalizing, while drift beyond 1e-9
+    or a population below -1e-9 makes the kernel itself raise
+    :class:`IntegrationError` (shrink dt), which reaches the caller
+    unchanged.  Where R is entrywise non-negative and ``rho0`` is too, with
+    a sum within 1e-12 of 1, the kernel jumps from sample to sample with
+    one product by R^sample_stride and renormalizes at the samples only:
+    R's columns sum to 1, so it maps the simplex into itself and no step in
+    between could fail, and the outcome is that of policing every step.
+    Otherwise (dt near RK4's stability limit, or a population in [-1e-9,
+    0)) every step is policed, and an oversized dt fails at the step where
+    its iterate first leaves the simplex.
     ``rho0`` is four finite populations (a :class:`PopulationVector` or any
     sequence) on the simplex within the integrator's tolerances: they sum
     to 1 within 1e-9 and none is below -1e-9, or a ``ValueError`` names

@@ -1,5 +1,6 @@
 """Rate constants, generator structure, net rates and time evolution."""
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from qdicc import (ForbiddenTransitionError, IntegrationError, Lead,
                    PopulationVector, StateIndex, SystemParams, evolve,
-                   generator, icc_reduction, net_transition_rate,
+                   generator, icc_reduction, invert_forces, net_transition_rate,
                    rate_constants, steady_state)
 from qdicc import _kernels, engine
 from qdicc.kinetics import CHANNEL_INDEX, CHANNEL_PAIRS
@@ -286,6 +287,36 @@ def stage_rk4(w, rho0, dt, n_steps, stride):
     return np.array(samples), None
 
 
+def one_step_matrix(w, dt):
+    """RK4's one-step matrix R = sum_{k<=4} (dt W)^k / k!, in Horner form."""
+    a, one = dt * w, np.eye(4)
+    return one + a @ (one + a @ (one + a @ (one + a / 4) / 3) / 2)
+
+
+def inverse_plane_generator(f_e=0.7, f_n=1.1):
+    """The generator of configs/inverse_plane.cfg at one force point."""
+    beta, mu_l = invert_forces(f_e, f_n, 1.0, 1.0)
+    return generator(rate_constants(SystemParams(1.0, 2.5, -1.5),
+                                    icc_reduction(beta, 1.0, mu_l, 1.0, 3.0))).matrix
+
+
+def assert_matches_stage_form(w, rho0, dt, n_steps, stride):
+    """evolve gives stage_rk4's samples at steps 0, stride, ..., n_steps
+    within 1e-11, or raises IntegrationError with its message."""
+    expected, message = stage_rk4(w, rho0, dt, n_steps, stride)
+    if message is not None:
+        with pytest.raises(IntegrationError) as exc:
+            evolve(rho0, w, dt=dt, t_end=n_steps * dt, sample_stride=stride)
+        assert str(exc.value) == message
+        return
+    traj = evolve(rho0, w, dt=dt, t_end=n_steps * dt, sample_stride=stride)
+    steps = [*range(0, n_steps + 1, stride)]
+    if steps[-1] != n_steps:
+        steps.append(n_steps)
+    assert traj.times.tolist() == [step * dt for step in steps]
+    assert np.abs(traj.populations - expected).max() < 1e-11
+
+
 class TestEvolve:
     def test_zero_generator_is_constant(self):
         rho0 = np.array([0.1, 0.2, 0.3, 0.4])
@@ -369,6 +400,63 @@ class TestEvolve:
                 assert str(exc.value) == message
             finished.append(message is None)
         assert any(finished) and not all(finished)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-4.0, math.log10(4.0)),
+           stride=st.sampled_from((1, 2, 7, 10, 64)), strides=st.integers(0, 6),
+           rest=st.integers(0, 63), zeros=st.sets(st.integers(0, 3), max_size=3),
+           negative=st.none() | st.floats(-1e-9, 0.0, exclude_max=True))
+    def test_matches_stage_form_oracle(self, seed, log_scale, stride, strides, rest,
+                                       zeros, negative):
+        # dt from 1e-4 to 4 over max|W_ii|, so R = one-step matrix falls on
+        # both sides of R >= 0; step counts end on a partial stride; rho0
+        # with zero entries and with an entry in [-1e-9, 0)
+        rng = np.random.default_rng(seed)
+        w = generator(rate_constants(random_system(rng),
+                                     random_baths(rng, equal_gamma=seed % 2 == 0))).matrix
+        dt = 10.0 ** log_scale / np.abs(np.diag(w)).max()
+        n_steps = max(1, strides * stride + rest % stride)
+        rho0 = rng.dirichlet(np.ones(4))
+        rho0[sorted(zeros)] = 0.0
+        rho0 /= rho0.sum()
+        if negative is not None:
+            low, high = int(np.argmin(rho0)), int(np.argmax(rho0))
+            rho0[high] += rho0[low] - negative
+            rho0[low] = negative
+        assert_matches_stage_form(w, rho0, dt, n_steps, stride)
+
+    @pytest.mark.parametrize("dt, rho0, jumps", [
+        (1e-3, [0.4, 0.3, 0.2, 0.1], True),
+        (1e-3, [0.4 + 1e-9, 0.3, 0.3, -1e-9], False),
+        (0.9, [0.25, 0.25, 0.25, 0.25], False),
+        (1.0, [0.25, 0.25, 0.25, 0.25], False),
+    ], ids=["relax-workload-side", "negative-rho0", "negative-r", "negative-r-fails"])
+    def test_jump_rule_sides_match_stage_form(self, monkeypatch, dt, rho0, jumps):
+        # the kernel jumps a whole stride (one matrix power) only where R >= 0
+        # and rho0 >= 0; the inverse_plane system at dt = 1e-3 is the relax
+        # workload's side; each side gives the per-step outcome
+        w = inverse_plane_generator()
+        assert (one_step_matrix(w, dt).min() >= 0.0) == (dt == 1e-3)
+        powers = []
+        matrix_power = np.linalg.matrix_power
+        monkeypatch.setattr(np.linalg, "matrix_power",
+                            lambda r, n: powers.append(n) or matrix_power(r, n))
+        assert_matches_stage_form(w, np.array(rho0), dt, 1003 if dt < 0.1 else 203, 10)
+        assert powers == ([10, 3] if jumps else [])
+
+    def test_peak_memory_is_the_result_arrays(self):
+        # the samples go into one preallocated (n, 4) array: with the times
+        # and the sample steps the peak is 1.5x that array, where a list of
+        # 4-element arrays peaked at 8x
+        w = inverse_plane_generator()
+        tracemalloc.start()
+        try:
+            traj = evolve(np.full(4, 0.25), w, dt=1e-3, t_end=100.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traj) == 100_001
+        assert peak < 3 * traj.populations.nbytes + 2**16
 
     def test_oversized_step_raises(self):
         rng = np.random.default_rng(111)
