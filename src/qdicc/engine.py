@@ -236,16 +236,15 @@ def pq_status(k, c_l):
     :func:`qdicc.icc.pq_ratio`), p and q over the channels of the m and n
     cycles, and its status: PQ_RANGE where p/q or the lead-l cycle ratio
     ``c_l`` of :func:`cycles` is not a finite positive number (a rate
-    product left the float range), UNREDUCED where ``c_l`` deviates from
-    one.  Rates must be positive."""
+    product left the float range).  Rates must be positive; the caller
+    decides reduction (:func:`evaluate` from the forces)."""
     with np.errstate(all="ignore"):
         p, q = [(1.0 + k[r_up] / k[l_up]) / (1.0 + k[r_down] / k[l_down])
                 for (r_up, l_down), (r_down, l_up) in zip(_CYCLES[:2], _CYCLES_BACK[:2])]
         ratio = p / q
         in_range = (np.isfinite(c_l) & (c_l > 0.0)
                     & np.isfinite(ratio) & (ratio > 0.0))
-        return ratio, np.where(in_range, np.where(np.abs(np.log(c_l)) <= 1e-9,
-                                                  OK, UNREDUCED), PQ_RANGE)
+        return ratio, np.where(in_range, OK, PQ_RANGE)
 
 
 # The regime rules: one line per force category, one column per pair of
@@ -278,7 +277,6 @@ def classify(f_e, f_n, j_e, j_n, tol_sign):
     """
     if not (np.isfinite(tol_sign) and tol_sign >= 0):
         raise ValueError(f"tol_sign must be finite and non-negative, got {tol_sign}")
-    f_e, f_n, j_e, j_n = (np.asarray(v, dtype=float) for v in (f_e, f_n, j_e, j_n))
     fe_zero = np.abs(f_e) <= TOL_FORCE
     fn_zero = np.abs(f_n) <= TOL_FORCE
     sign_e = np.where(f_e > 0, 1.0, -1.0)
@@ -294,18 +292,19 @@ def classify(f_e, f_n, j_e, j_n, tol_sign):
     return regime, np.where((category == 0) & current, ZERO_FORCE, status)
 
 
-def merit(beta_l, beta_r, j_e_r, j_n_r, f_e_r, f_n_r):
+def merit(regime, beta_l, beta_r, j_e_r, j_n_r, f_e_r, f_n_r):
     """Refrigerator COP and engine efficiency of the two-force setup, NaN
     where a figure is undefined.
 
-    Both need two positive forces.  The COP zeta = -J_E^r beta_r / (J_N^r
-    f_n_r) is defined where J_E^r < 0 runs against them, the efficiency
-    eta = -J_N^r f_n_r / (beta_l J_E^r) where J_N^r < 0 does while J_E^r > 0.
+    The ``regime`` codes of :func:`classify` decide where: under two positive
+    forces, zeta = -J_E^r beta_r / (J_N^r f_n_r) on IccEnergy points and
+    eta = -J_N^r f_n_r / (beta_l J_E^r) on IccParticle points with J_E^r > 0.
     """
     with np.errstate(all="ignore"):
         positive = (f_e_r > 0) & (f_n_r > 0)
-        cop = np.where(positive & (j_e_r < 0), (-j_e_r * beta_r) / (j_n_r * f_n_r), np.nan)
-        eta = np.where(positive & (j_n_r < 0) & (j_e_r > 0),
+        cop = np.where(positive & (regime == REGIMES.index(Regime.ICC_ENERGY)),
+                       (-j_e_r * beta_r) / (j_n_r * f_n_r), np.nan)
+        eta = np.where(positive & (regime == REGIMES.index(Regime.ICC_PARTICLE)) & (j_e_r > 0),
                        (-j_n_r * f_n_r) / (beta_l * j_e_r), np.nan)
     return cop, eta
 
@@ -347,9 +346,9 @@ def evaluate(sys: SystemParams, beta, mu, gamma, tol_sign: float = TOL_SIGN) -> 
     """Solve and classify N bath configurations in one array pass.
 
     ``beta``, ``mu`` and ``gamma`` are (l, r, u) triples whose entries are
-    scalars or arrays broadcasting to N points.  The regime, cycle predictor
-    and figures of merit are produced only where the upper-lead energy bias
-    vanishes (|f_e_u| <= TOL_FORCE).
+    scalars or arrays broadcasting to N points.  The forces decide reduction:
+    the regime, cycle predictor and figures of merit are produced only where
+    the upper-lead energy bias vanishes (|f_e_u| <= TOL_FORCE).
     """
     bath = np.array(np.broadcast_arrays(*beta, *mu, *gamma), dtype=float).reshape(9, -1)
     beta, mu, gamma = bath[0:3], bath[3:6], bath[6:9]
@@ -375,9 +374,7 @@ def evaluate(sys: SystemParams, beta, mu, gamma, tol_sign: float = TOL_SIGN) -> 
         regime = np.where(reduced, regime, -1)
         ratio = np.where(reduced, ratio, np.nan)
 
-        cop, eta = merit(beta[0], beta[1], cur[1], cur[4], f[1], f[2])
-        cop = np.where(regime == REGIMES.index(Regime.ICC_ENERGY), cop, np.nan)
-        eta = np.where(regime == REGIMES.index(Regime.ICC_PARTICLE), eta, np.nan)
+        cop, eta = merit(regime, beta[0], beta[1], cur[1], cur[4], f[1], f[2])
         res_j_e = cur[0] + cur[1] + cur[2]
         res_j_n = cur[3] + cur[4] + cur[5]
 

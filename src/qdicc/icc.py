@@ -88,12 +88,14 @@ def pq_ratio(rc: RateConstants) -> float:
     runs clockwise, below one anticlockwise, at one it stalls.
 
     Raises :class:`LogDomainError` unless every rate is strictly positive,
-    and :class:`PreconditionError` when called outside the reduced setup
-    (detected through the lead-l cycle ratio c_l deviating from one).
+    and :class:`PreconditionError` outside the reduced setup, which rates
+    alone show as a lead-l cycle ratio c_l off one (|ln c_l| > 1e-9).
     """
     engine.raise_for_status(engine.log_domain(rc.values, np.ones(4)))
-    ratio, status = engine.pq_status(rc.values, engine.cycles(rc.values)[2])
+    c_l = engine.cycles(rc.values)[2]
+    ratio, status = engine.pq_status(rc.values, c_l)
     engine.raise_for_status(status)
+    engine.raise_for_status(engine.OK if abs(np.log(c_l)) <= 1e-9 else engine.UNREDUCED)
     return float(ratio)
 
 
@@ -119,15 +121,15 @@ def _optional(value) -> float | None:
 
 
 def cop(cs: CurrentSet, baths: BathConfig, fs: ForceSet) -> float | None:
-    """Refrigeration coefficient of performance, defined in the
-    inverse-energy-current regime (j_e_r < 0 against two positive forces).
+    """Refrigeration coefficient of performance, defined on IccEnergy
+    points (j_e_r < 0 against two positive forces).
 
-    zeta = -J_E^r beta_r / (J_N^r f_n_r), bounded by the ideal value
-    T_cold / (T_hot - T_cold) built from the two distinct temperatures;
-    returns None outside the regime.  A 1-point view of
-    :func:`qdicc.engine.merit`.
+    zeta = -J_E^r beta_r / (J_N^r f_n_r), at most the ideal T_cold /
+    (T_hot - T_cold); None outside the regime :func:`qdicc.engine.classify`
+    reads.  A 1-point view of :func:`qdicc.engine.merit`.
     """
-    return _optional(engine.merit(baths.l.beta, baths.r.beta, cs.j_e_r, cs.j_n_r,
+    regime = engine.classify(fs.f_e_r, fs.f_n_r, cs.j_e[1], cs.j_n[1], engine.TOL_SIGN)[0]
+    return _optional(engine.merit(regime, baths.l.beta, baths.r.beta, cs.j_e[1], cs.j_n[1],
                                   fs.f_e_r, fs.f_n_r)[0])
 
 
@@ -142,14 +144,15 @@ def cop_ideal(baths: BathConfig) -> float:
 
 
 def efficiency(cs: CurrentSet, baths: BathConfig, fs: ForceSet) -> float | None:
-    """Engine efficiency, defined in the inverse-particle-current regime
-    (j_n_r < 0 against two positive forces, with j_e_r > 0 as input).
+    """Engine efficiency, defined on IccParticle points (j_n_r < 0 against
+    two positive forces) with j_e_r > 0 as input.
 
-    eta = -J_N^r f_n_r / (beta J_E^r) with beta the cold-side inverse
-    temperature; bounded by the Carnot value; None outside the regime.  A
-    1-point view of :func:`qdicc.engine.merit`.
+    eta = -J_N^r f_n_r / (beta J_E^r), beta the cold-side inverse
+    temperature, at most the Carnot value; None outside the regime that
+    :func:`qdicc.engine.classify` reads.  A view of :func:`qdicc.engine.merit`.
     """
-    return _optional(engine.merit(baths.l.beta, baths.r.beta, cs.j_e_r, cs.j_n_r,
+    regime = engine.classify(fs.f_e_r, fs.f_n_r, cs.j_e[1], cs.j_n[1], engine.TOL_SIGN)[0]
+    return _optional(engine.merit(regime, baths.l.beta, baths.r.beta, cs.j_e[1], cs.j_n[1],
                                   fs.f_e_r, fs.f_n_r)[1])
 
 

@@ -232,6 +232,18 @@ class TestSolve:
         cells = b"".join(record_fields(*batch.forces[1:, 0], 1.5, 0.2, batch))
         assert record == dict(zip(COLUMNS, cells.decode().rstrip("\n").split(",")))
 
+    def test_reduced_point_in_the_fermi_tail(self, tmp_path, capsys):
+        # beta_l = beta_u by construction, so the point is two-force reduced
+        # though a lead-l rate is subnormal and c_l rounds away from one
+        cfg = write(tmp_path, "tail.cfg", "eps_b = 1.0\neps_u = 2.5\nkappa = -1.5\n"
+                    "beta_r = 23\nmu_r = 2.8\nmu_u = 1.2\ngamma = 1.0\nsetup = icc\n"
+                    "F_E = 20\nF_N = -649.4\n")
+        assert main(["solve", "--config", cfg]) == 0
+        record = parse_solve_output(capsys.readouterr().out)
+        assert record["status"] == "ok"
+        assert record["regime"] == "Normal"
+        assert float(record["PQ"]) == pytest.approx(1.07e13, rel=1e-2)
+
     def test_output_file(self, tmp_path):
         cfg = write(tmp_path, "point.cfg", POINT_CONFIG)
         out = tmp_path / "record.txt"

@@ -1,15 +1,17 @@
 """Reductions, force inversion, cycle predictor, classification, figures of merit."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qdicc import (CurrentSet, ForceSet, PreconditionError, Regime,
+from qdicc import (CurrentSet, ForceSet, PreconditionError, QdiccError, Regime,
                    SecondLawViolationError, analyze_point, carnot_efficiency,
                    classify, cop, cop_ideal, efficiency, forces_macro,
                    generator, icc_reduction, invert_forces, mn_factors,
                    pq_ratio, rate_constants, steady_state, SystemParams,
                    thermoelectric_reduction, xy_variables)
 
-from conftest import (BETA_R, MU_R, MU_U, equal_baths, random_baths,
+from conftest import (BETA_R, EPS_B, EPS_U, MU_R, MU_U, equal_baths, random_baths,
                       random_system)
 
 
@@ -54,6 +56,16 @@ class TestReductions:
             fs = pt.forces
             two_force = pt.currents.j_e_r * fs.f_e_r + pt.currents.j_n_r * fs.f_n_r
             assert pt.sigma_macro == pytest.approx(two_force, abs=1e-12)
+
+    def test_reduction_is_read_off_the_forces(self):
+        # deep in the Fermi tail a lead-l rate is subnormal (4.6e-320), so
+        # the lead-l cycle ratio c_l rounds to 0.99989; beta_l = beta_u still
+        # makes f_e_u exactly zero, and the forces decide reduction
+        pt = analyze_point(SystemParams(1.0, 2.5, -1.5),
+                           icc_reduction(43.0, 23.0, 16.6, 2.8, 1.2))
+        assert pt.forces.f_e_u == 0.0
+        assert pt.regime is Regime.NORMAL
+        assert pt.pq == pytest.approx(1.07e13, rel=1e-2)
 
     def test_refrigerator_cross_effect_in_thermoelectric_setup(self):
         # particle bias pumping energy against the thermal force
@@ -179,6 +191,29 @@ class TestPqRatio:
         baths = random_baths(rng)  # beta_l != beta_u almost surely
         with pytest.raises(PreconditionError):
             pq_ratio(rate_constants(sys, baths))
+
+
+@pytest.mark.filterwarnings("ignore:eps_b \\+ kappa = 0")
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.just(-1.5), st.floats(-3.0, 3.0)),
+       st.one_of(st.just(0.0), st.floats(-0.9, 3.0)), st.one_of(st.just(0.0), st.floats(-5.0, 5.0)),
+       st.floats(1.0, 5.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+def test_scalar_figures_are_the_engine_figures_on_reduced_baths(kappa, f_e_ratio, f_n, beta_r,
+                                                                mu_r, mu_u):
+    # cop and efficiency read the regime table as the engine does: they
+    # equal analyze_point's figures wherever it succeeds, and never raise,
+    # also on the F_E = 0 and F_N = 0 lines drawn on purpose, where J_E^r
+    # or f_n_r is zero; F_E is f_e_ratio * beta_r, so beta stays positive
+    beta, mu_l = invert_forces(f_e_ratio * beta_r, f_n, beta_r, mu_r)
+    baths = icc_reduction(beta, beta_r, mu_l, mu_r, mu_u)
+    try:
+        pt = analyze_point(SystemParams(EPS_B, EPS_U, kappa), baths)
+    except (QdiccError, ValueError):  # a failing gate; ValueError is MN_RANGE's
+        return
+    assert cop(pt.currents, baths, pt.forces) == pt.cop
+    assert efficiency(pt.currents, baths, pt.forces) == pt.efficiency
+    if f_e_ratio == f_n == 0.0:
+        assert pt.cop is None and pt.efficiency is None
 
 
 def _forces(f_e, f_n):

@@ -475,6 +475,18 @@ class TestEvolve:
             evolve(np.array([1.0, 0.0, 0.0, 0.0]), generator(rc), dt=dt, t_end=dt)
         assert str(exc.value) == message
 
+    def test_overflowing_one_step_matrix_raises_the_drift_error(self):
+        # dt W overflows, so every entry of R and of the first state is NaN;
+        # a NaN drift fails the drift check, with no numpy warning on the way
+        w = np.zeros((4, 4))
+        w[1, 0], w[0, 0] = 1e308, -1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationError) as exc:
+                evolve([1.0, 0.0, 0.0, 0.0], w, dt=10.0, t_end=10.0)
+        assert str(exc.value) == ("normalization drift exceeded 1e-9 at step 1 (t=10); "
+                                  "use a smaller dt")
+
     def test_bad_arguments(self):
         w = np.zeros((4, 4))
         with pytest.raises(ValueError):
