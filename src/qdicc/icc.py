@@ -109,9 +109,14 @@ def classify(fs: ForceSet, cs: CurrentSet, tol_sign: float = engine.TOL_SIGN) ->
     Combinations that would make the entropy production rate negative raise
     :class:`SecondLawViolationError`.
     """
-    code, status = engine.classify(fs.f_e_r, fs.f_n_r, cs.j_e_r, cs.j_n_r, tol_sign)
+    return REGIMES[int(_regime_code(fs, cs, tol_sign))]
+
+
+def _regime_code(fs: ForceSet, cs: CurrentSet, tol_sign: float = engine.TOL_SIGN):
+    """The engine's regime code, raising the typed exception of a failing status."""
+    code, status = engine.classify(fs.f_e_r, fs.f_n_r, cs.j_e[1], cs.j_n[1], tol_sign)
     engine.raise_for_status(status)
-    return REGIMES[int(code)]
+    return code
 
 
 def _optional(value) -> float | None:
@@ -126,9 +131,10 @@ def cop(cs: CurrentSet, baths: BathConfig, fs: ForceSet) -> float | None:
 
     zeta = -J_E^r beta_r / (J_N^r f_n_r), at most the ideal T_cold /
     (T_hot - T_cold); None outside the regime :func:`qdicc.engine.classify`
-    reads.  A 1-point view of :func:`qdicc.engine.merit`.
+    reads.  Raises where :func:`classify` raises.  A 1-point view of
+    :func:`qdicc.engine.merit`.
     """
-    regime = engine.classify(fs.f_e_r, fs.f_n_r, cs.j_e[1], cs.j_n[1], engine.TOL_SIGN)[0]
+    regime = _regime_code(fs, cs)
     return _optional(engine.merit(regime, baths.l.beta, baths.r.beta, cs.j_e[1], cs.j_n[1],
                                   fs.f_e_r, fs.f_n_r)[0])
 
@@ -149,9 +155,10 @@ def efficiency(cs: CurrentSet, baths: BathConfig, fs: ForceSet) -> float | None:
 
     eta = -J_N^r f_n_r / (beta J_E^r), beta the cold-side inverse
     temperature, at most the Carnot value; None outside the regime that
-    :func:`qdicc.engine.classify` reads.  A view of :func:`qdicc.engine.merit`.
+    :func:`qdicc.engine.classify` reads.  Raises where :func:`classify`
+    raises.  A view of :func:`qdicc.engine.merit`.
     """
-    regime = engine.classify(fs.f_e_r, fs.f_n_r, cs.j_e[1], cs.j_n[1], engine.TOL_SIGN)[0]
+    regime = _regime_code(fs, cs)
     return _optional(engine.merit(regime, baths.l.beta, baths.r.beta, cs.j_e[1], cs.j_n[1],
                                   fs.f_e_r, fs.f_n_r)[1])
 

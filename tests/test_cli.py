@@ -1,6 +1,7 @@
 """Command-line surface: config parsing, outputs, determinism, exit codes."""
 import contextlib
 import errno
+import gc
 import io
 import math
 import re
@@ -940,3 +941,39 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("F_E = ")
+
+
+ENTRY_PROBE = """
+import gc
+import qdicc
+assert gc.isenabled() and gc.get_freeze_count() == 0
+gc.collect()  # zero the allocation counts, so only the imports could trigger a pass
+passes = []
+gc.callbacks.append(lambda phase, info: passes.append(info["generation"]))
+import qdicc.__main__ as entry
+assert not gc.isenabled() and not passes, passes
+seen = {}
+def probe():
+    seen.update(enabled=gc.isenabled(), frozen=gc.get_freeze_count())
+    return 7
+entry.cli.main = probe
+assert entry.main() == 7
+assert seen["enabled"] and seen["frozen"] >= 10**4, seen
+"""
+
+
+def test_process_entry_freezes_the_import_heap(tmp_path):
+    # the entry imports numpy and the CLI with the collector off, then moves
+    # that heap into the permanent generation and runs the command with the
+    # collector on; the console script names the same entry
+    proc = subprocess.run([sys.executable, "-c", ENTRY_PROBE],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    assert 'qdicc = "qdicc.__main__:main"' in pyproject.read_text(encoding="utf-8")
+    # the library and in-process commands leave the collector alone
+    state = gc.isenabled(), gc.get_freeze_count()
+    cfg = tmp_path / "point.cfg"
+    cfg.write_text(POINT_CONFIG, encoding="utf-8")
+    assert main(["solve", "--config", str(cfg)]) == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == state

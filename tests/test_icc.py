@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdicc import (CurrentSet, ForceSet, PreconditionError, QdiccError, Regime,
-                   SecondLawViolationError, analyze_point, carnot_efficiency,
+                   SecondLawViolationError, analyze_point, carnot_efficiency, engine,
                    classify, cop, cop_ideal, efficiency, forces_macro,
                    generator, icc_reduction, invert_forces, mn_factors,
                    pq_ratio, rate_constants, steady_state, SystemParams,
@@ -297,6 +297,32 @@ class TestRegimeStructure:
                 assert pt.currents.j_e_r > 0
 
 
+# about 2000 first-quadrant forces, from near the origin to deep saturation
+_PLANE = [a.ravel() for a in np.meshgrid(np.geomspace(0.01, 100.0, 45),
+                                         np.geomspace(0.01, 100.0, 45), indexing="ij")]
+_ICC_CODES = [engine.REGIMES.index(Regime.ICC_ENERGY), engine.REGIMES.index(Regime.ICC_PARTICLE)]
+
+
+@pytest.mark.filterwarnings("ignore:eps_b \\+ kappa = 0")
+@settings(max_examples=100, deadline=None)
+@given(st.floats(0.05, 3.0, exclude_min=True, exclude_max=True),
+       st.floats(0.05, 4.0, exclude_min=True, exclude_max=True),
+       st.floats(-4.0, 4.0, exclude_min=True, exclude_max=True),
+       st.floats(0.1, 5.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+def test_level_swap_is_necessary_over_systems(eps_b, gap, kappa, beta_r, mu_r, mu_u):
+    # the paper's claim over whole systems: a genuine inverse cell needs the
+    # level swap eps_b + kappa < 0 (necessary only; not every swapped system
+    # shows one), and no computed row has both currents against parallel
+    # forces, which the rules table would only mark
+    beta, mu_l = invert_forces(*_PLANE, beta_r, mu_r)
+    batch = engine.evaluate(SystemParams(eps_b, eps_b + gap, kappa),
+                            (beta, beta_r, beta), (mu_l, mu_r, mu_u), (1.0, 1.0, 1.0))
+    assert not (batch.status == engine.SECOND_LAW).any()
+    if eps_b + kappa >= 0:
+        icc = (batch.status == engine.OK) & np.isin(batch.regime, _ICC_CODES)
+        assert not icc.any(), (np.flatnonzero(icc), batch.regime[icc])
+
+
 class TestFiguresOfMerit:
     def find_regime_point(self, sys, regime):
         for f_e in np.linspace(0.1, 2.0, 15):
@@ -354,3 +380,14 @@ class TestFiguresOfMerit:
         baths = icc_reduction(2.0, 1.0, 0.0, 1.0, 1.0)
         assert cop(cs, baths, fs) is None
         assert efficiency(cs, baths, fs) is None
+
+    @pytest.mark.parametrize("figure", [cop, efficiency])
+    def test_raises_where_classify_raises(self, figure):
+        # both currents against parallel forces: classify raises, and so do
+        # the figures that read its regime, instead of returning cop = -1
+        fs, cs = _forces(0.0, 1.0), _currents(-1e-3, -1e-3)
+        baths = icc_reduction(2.0, 1.0, 0.0, 1.0, 1.0)
+        with pytest.raises(SecondLawViolationError):
+            classify(fs, cs)
+        with pytest.raises(SecondLawViolationError):
+            figure(cs, baths, fs)
