@@ -19,16 +19,19 @@ lead, which states and which energy each channel has;
 ``kinetics.CHANNEL_INDEX``, ``model.transition_energies`` and
 ``steadystate.cycle_flux_closed_form`` read them.  The incidence table
 ``_FEEDS`` drives the generator, whose ring entries ``engine.stationary``
-reads, and its mask ``_BLOCKED`` of the pairs no channel joins is what
-``kinetics.Generator`` and ``model.TransitionTable.omega`` reject.
+reads in ``RING`` order, and its mask ``_BLOCKED`` of the pairs no channel
+joins is what ``kinetics.Generator`` and ``model.TransitionTable.omega``
+reject.
 ``_CYCLES`` lists the ring's three independent cycles by channel;
 ``engine.cycles`` reads it for M/N, the lead-l gate, p/q and
 ``thermo.forces_micro``, and no other module names a channel constant.
 
-``solve4``, ``steady_rho`` and ``cycle_legs`` are no longer called by the
-package: the spanning-tree steady state of :mod:`qdicc.engine` replaced the
-dense solve.  They remain only because the span tracer in
-``perfbench/spans.py`` looks each of them up by name.
+``solve4``, ``steady_rho`` and ``cycle_legs`` run in no command and behind
+no public function: the spanning-tree steady state of :mod:`qdicc.engine`
+replaced the dense solve.  They stay bound, as thin numpy code (LAPACK's
+solve behind the ``(x, ok)`` contract, one index expression over ``RING``),
+because the benchmark's span tracer looks each of them up by name and its
+per-layer metrics list them; ROADMAP item 1 deletes them with those entries.
 
 Channel layout for the 12 directed reservoir-resolved rate constants::
 
@@ -60,6 +63,10 @@ _LOWER = np.array((0, 0, 2, 2, 0, 1))
 _UPPER = np.array((1, 1, 3, 3, 2, 3))
 # the two channels of each lead (l, r, u), in table order
 _LEAD_FIRST, _LEAD_SECOND = np.argsort(_LEAD, kind="stable").reshape(3, 2).T
+# ring order A, B, D, C as state indices (the permutation is its own
+# inverse), and the state after each ring state
+RING = (0, 1, 3, 2)
+_SUCC = RING[1:] + RING[:1]
 
 # _FEEDS[j, i, c] is 1 where channel c carries i -> j, else 0
 _FEEDS = np.zeros((4, 4, 12))
@@ -140,70 +147,30 @@ def generator_matrix(k):
 
 
 def solve4(a_in, b_in):
-    """Solve a 4x4 dense system by Gaussian elimination with partial pivoting.
-
-    Returns (x, ok); ok is False when a pivot vanishes.
-    """
-    a = a_in.copy()
-    b = b_in.copy()
-    n = 4
-    for col in range(n):
-        piv = col
-        big = abs(a[col, col])
-        for row in range(col + 1, n):
-            v = abs(a[row, col])
-            if v > big:
-                big = v
-                piv = row
-        if big == 0.0:
-            return b, False
-        if piv != col:
-            for j in range(n):
-                tmp = a[col, j]
-                a[col, j] = a[piv, j]
-                a[piv, j] = tmp
-            tmp = b[col]
-            b[col] = b[piv]
-            b[piv] = tmp
-        inv = 1.0 / a[col, col]
-        for row in range(col + 1, n):
-            fac = a[row, col] * inv
-            if fac != 0.0:
-                for j in range(col, n):
-                    a[row, j] -= fac * a[col, j]
-                b[row] -= fac * b[col]
-    x = np.empty(n)
-    for row in range(n - 1, -1, -1):
-        s = b[row]
-        for j in range(row + 1, n):
-            s -= a[row, j] * x[j]
-        x[row] = s / a[row, row]
-    return x, True
+    """Solve a 4x4 dense system with LAPACK's gesv (Gaussian elimination,
+    partial pivoting).  Returns (x, ok); on an exactly zero pivot, ok is
+    False and x a copy of ``b_in``.  The inputs are not mutated."""
+    try:
+        return np.linalg.solve(a_in, b_in), True
+    except np.linalg.LinAlgError:
+        return b_in.copy(), False
 
 
 def steady_rho(w):
     """Kernel of the generator, normalized: solve W rho = 0 with the last
     row replaced by the probability constraint sum(rho) = 1."""
     a = w.copy()
-    for j in range(4):
-        a[3, j] = 1.0
-    b = np.zeros(4)
-    b[3] = 1.0
-    return solve4(a, b)
+    a[3] = 1.0
+    return solve4(a, np.eye(4)[3])
 
 
 def cycle_legs(w, rho):
-    """Net rates along the four legs of the cycle A->B->D->C->A.
+    """Net rates along the four legs of the cycle A->B->D->C->A (``RING``).
 
     Order: (A->B via l+r), (B->D via u), (D->C via l+r), (C->A via u).
     At steady state all four coincide with the clockwise cycle flux.
     """
-    legs = np.empty(4)
-    legs[0] = w[1, 0] * rho[0] - w[0, 1] * rho[1]
-    legs[1] = w[3, 1] * rho[1] - w[1, 3] * rho[3]
-    legs[2] = w[2, 3] * rho[3] - w[3, 2] * rho[2]
-    legs[3] = w[0, 2] * rho[2] - w[2, 0] * rho[0]
-    return legs
+    return w[_SUCC, RING] * rho[list(RING)] - w[RING, _SUCC] * rho[list(_SUCC)]
 
 
 def channel_fluxes(k, rho):

@@ -29,17 +29,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._kernels import (_CYCLES, _CYCLES_BACK, channel_fluxes, currents_vector,
-                       generator_matrix, rate_vector, schnakenberg)
+from ._kernels import (_CYCLES, _CYCLES_BACK, _SUCC, RING, channel_fluxes,
+                       currents_vector, generator_matrix, rate_vector, schnakenberg)
 from .errors import (DegenerateNetworkError, DegenerateRateError,
                      LogDomainError, NumericalError, PreconditionError,
                      SecondLawViolationError)
 from .model import SystemParams
-
-# ring order A, B, D, C as state indices; the permutation is its own inverse
-RING = (0, 1, 3, 2)
-# the state after each ring state
-_SUCC = RING[1:] + RING[:1]
 
 
 class Regime(enum.Enum):
@@ -120,8 +115,9 @@ def stationary(w):
     (rho, gamma_cw, legs, status): populations (4, ...) in state order, the
     clockwise cycle flux, the four cycle-leg net rates in ring order (A->B,
     B->D, D->C, C->A), and a status that is DEGENERATE where Z is zero or
-    not finite, RESIDUAL where |W rho| exceeds 1e-12 times the largest
-    rate, and LEGS where a leg differs from the cycle flux by more than that.
+    not finite, RESIDUAL where |W rho| exceeds 1e-12 max(1, max_j |W_jj|),
+    the largest total exit rate of a state (not the largest channel rate),
+    and LEGS where a leg differs from the cycle flux by more than that.
     """
     fwd, bwd = w[_SUCC, RING], w[RING, _SUCC]
     with np.errstate(all="ignore"):
@@ -149,8 +145,8 @@ def stationary(w):
 def xy(k, g, gamma_cw):
     """Right-minus-left flux asymmetries x (A<->B) and y (C<->D) and their
     status: XY where the right-lead fluxes do not recombine as
-    (x + Gamma_cw)/2 and (y - Gamma_cw)/2 to within 1e-12 times the largest
-    rate."""
+    (x + Gamma_cw)/2 and (y - Gamma_cw)/2 to within 1e-12 max(1, largest
+    rate)."""
     x = g[1] - g[0]
     y = g[3] - g[2]
     tol = 1e-12 * np.maximum(1.0, k.max(axis=0))
@@ -189,11 +185,16 @@ def forces(beta, mu):
 def invert_forces(f_e, f_n, beta_r: float, mu_r: float):
     """Bath parameters (beta, mu_l) realizing given forces in the two-force setup.
 
-    beta = beta_r + f_e and mu_l = (beta_r mu_r - f_n) / beta; composing
-    with the macroscopic force formulas round-trips exactly.  ``f_e`` and
-    ``f_n`` are scalars or arrays, and a beta that is not positive raises
-    ValueError naming the first such force.  An overflow or a nan is left
-    in beta and mu_l, for the engine's BAD_BATHS gate to mark.
+    beta = beta_r + f_e and mu_l = (beta_r mu_r - f_n) / beta.  Composing
+    with :func:`forces` gives the forces back only to rounding: with u =
+    2^-53, f_e within u (beta + |f_e|) and f_n within 4u (|beta_r mu_r| +
+    |f_n|); on ``inverse_plane.cfg``'s axes 58% of f_e and 20% of f_n values
+    move, by at most 2.2e-16.  The CSV prints the requested forces and the
+    regime reads the realized ones; TOL_FORCE absorbs the difference on the
+    zero-force lines.  ``f_e`` and ``f_n`` are scalars or arrays, and a
+    beta that is not positive raises ValueError naming the first such
+    force.  An overflow or a nan is left in beta and mu_l, for the engine's
+    BAD_BATHS gate to mark.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         beta = beta_r + f_e
@@ -210,7 +211,7 @@ def entropy_macro(beta, cur, f):
     """Macroscopic entropy production -sum(beta_lam J_Q^lam), the three
     force-flux products (J_E^u F_E^u, J_E^r F_E^r, J_N^r F_N^r) and their
     status: MACRO where the two forms, one identity modulo the conservation
-    laws, differ by more than 1e-12 relative.
+    laws, differ by more than 1e-12 max(1, |sigma|).
 
     ``cur`` holds the 9 currents, ``f`` is (f_e_u, f_e_r, f_n_r).
     """

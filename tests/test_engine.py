@@ -3,6 +3,7 @@ agreement, per-row status gates and whole-box physics properties."""
 import ast
 import math
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -671,3 +672,98 @@ def test_cycle_stage_gives_the_literal_products(k, kappa):
                outcome(lambda: forces_micro(rc, sys),
                        lambda fs: (fs.f_e_u, fs.f_e_r, fs.f_n_r)))
         assert got == literal_views(column, sys)
+
+
+def exact_ring(k, omega, mu):
+    """Exact rho (4 Fractions), the nine currents, res_JE, res_JN and the
+    largest one-way channel flux of one cell, from its 12 float rates taken
+    as exact rationals.  The generator comes from the literal layout of
+    ``test_kinetics.TestChannelTable``, and rho from Gaussian elimination of
+    W with its last row replaced by the normalization: not the engine's
+    spanning trees.  ``omega`` maps each (lower, upper) state pair to its
+    transition energy and ``mu`` is the (l, r, u) triple, as Fractions."""
+    rate = {key: Fraction(float(k[c])) for key, c in test_kinetics.TestChannelTable.INDEX.items()}
+    w = [[Fraction(0)] * 4 for _ in range(4)]
+    for (_lead, i, j), r in rate.items():
+        w[j][i] += r
+        w[i][i] -= r
+    a, b = w[:3] + [[Fraction(1)] * 4], [Fraction(0)] * 3 + [Fraction(1)]
+    for col in range(4):
+        piv = next(row for row in range(col, 4) if a[row][col])
+        a[col], a[piv], b[col], b[piv] = a[piv], a[col], b[piv], b[col]
+        for row in range(col + 1, 4):
+            fac = a[row][col] / a[col][col]
+            a[row] = [x - fac * y for x, y in zip(a[row], a[col])]
+            b[row] -= fac * b[col]
+    rho = [Fraction(0)] * 4
+    for row in (3, 2, 1, 0):
+        rho[row] = (b[row] - sum(a[row][j] * rho[j] for j in range(row + 1, 4))) / a[row][row]
+    je, jn, flux = dict.fromkeys(Lead, Fraction(0)), dict.fromkeys(Lead, Fraction(0)), Fraction(0)
+    for lead, i, j in test_kinetics.TestChannelTable.PAIRS:
+        up, down = rate[(lead, i, j)] * rho[i], rate[(lead, j, i)] * rho[j]
+        flux = max(flux, up, down)
+        jn[lead] += up - down
+        je[lead] += omega[(i, j)] * (up - down)
+    leads = (Lead.L, Lead.R, Lead.U)
+    cur = ([je[lead] for lead in leads] + [jn[lead] for lead in leads]
+           + [je[lead] - m * jn[lead] for lead, m in zip(leads, mu)])
+    return rho, cur, sum(cur[0:3]), sum(cur[3:6]), flux
+
+
+# the worst errors in units of eps over 120 seeded boxes of ~300 ok cells
+# each (40 a box kind), times a margin of two: rho 2.98 relative; currents
+# 3.08, res_JE 1.84 and res_JN 6.40, each against the cell's largest one-way
+# flux times the column's weight (1 for J_N, max |omega| for J_E, that plus
+# |mu_lam| for J_Q)
+EXACT_BOUNDS = {"rho": 6.0, "currents": 6.0, "res_j_e": 4.0, "res_j_n": 13.0}
+
+
+@pytest.mark.parametrize("seed, f_e_range, f_n_range, draws", [
+    pytest.param(901, (0.02, 2.0), (0.02, 2.0), 300, id="first-quadrant"),
+    pytest.param(902, (-1e-6, 1e-6), (-1e-6, 1e-6), 300, id="near-equilibrium"),
+    # about a quarter of the census box is ok
+    pytest.param(903, (-0.99, 400.0), (-2000.0, 2000.0), 1000, id="census"),
+])
+def test_exact_rational_oracle(seed, f_e_range, f_n_range, draws):
+    """rho, the nine currents and the residuals of inverse_plane.cfg's
+    system against their exact values from the engine's own float rates:
+    the rounding error of the ring and currents stages alone.  A label read
+    from the exact currents may differ only where a right-lead current lies
+    within the current bound of tol_sign."""
+    rng = np.random.default_rng(seed)
+    kappa = -1.5
+    sys = SystemParams(eps_b=EPS_B, eps_u=EPS_U, kappa=kappa)
+    beta, mu_l = invert_forces(rng.uniform(*f_e_range, draws), rng.uniform(*f_n_range, draws),
+                               BETA_R, MU_R)
+    batch = engine.evaluate(sys, (beta, BETA_R, beta), (mu_l, MU_R, MU_U), (1.0, 1.0, 1.0))
+    A, B, C, D = StateIndex
+    omega = {(A, B): EPS_B, (C, D): EPS_B + kappa, (A, C): EPS_U, (B, D): EPS_U + kappa}
+    omega_max = max(map(abs, omega.values()))
+    omega = {pair: Fraction(v) for pair, v in omega.items()}
+    eps = np.finfo(float).eps
+    ok = np.flatnonzero(batch.status == engine.OK)
+    assert len(ok) >= 200
+    flipped = []
+    for i in ok:
+        mu = (float(mu_l[i]), MU_R, MU_U)
+        rho, cur, res_j_e, res_j_n, flux = exact_ring(batch.k[:, i], omega,
+                                                      [Fraction(m) for m in mu])
+        rho = np.array([float(v) for v in rho])
+        assert (np.abs(batch.rho[:, i] - rho) <= EXACT_BOUNDS["rho"] * eps * rho).all(), i
+        weights = [omega_max] * 3 + [1.0] * 3 + [omega_max + abs(m) for m in mu]
+        for got, want, weight in zip(batch.currents[:, i], cur, weights):
+            assert abs(Fraction(float(got)) - want) <= (
+                Fraction(EXACT_BOUNDS["currents"] * eps * weight) * flux), i
+        assert abs(Fraction(float(batch.res_j_e[i])) - res_j_e) <= (
+            Fraction(EXACT_BOUNDS["res_j_e"] * eps * omega_max) * flux), i
+        assert abs(Fraction(float(batch.res_j_n[i])) - res_j_n) <= (
+            Fraction(EXACT_BOUNDS["res_j_n"] * eps) * flux), i
+        j_e, j_n = float(cur[1]), float(cur[4])
+        label = engine.classify(batch.forces[1, i], batch.forces[2, i], j_e, j_n, engine.TOL_SIGN)
+        if tuple(map(int, label)) != (batch.regime[i], engine.OK):
+            near = [abs(abs(j) - engine.TOL_SIGN) <= EXACT_BOUNDS["currents"] * eps * weight
+                    * float(flux) for j, weight in ((j_e, omega_max), (j_n, 1.0))]
+            flipped.append((int(i), j_e, j_n, any(near)))
+    # the cells whose label from the exact currents differs (none in these
+    # boxes): each must have a right-lead current within the bound of tol_sign
+    assert all(near for *_cell, near in flipped), flipped
