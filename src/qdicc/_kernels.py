@@ -237,20 +237,20 @@ def rk4_evolve(w, rho0, dt, n_steps, sample_stride, anchor):
     :class:`IntegrationError`; drift above ``RENORM_TOL`` is repaired by
     renormalization.
 
-    The input selects how far a product reaches.  When R is entrywise >= 0
-    (a NaN entry is not), and ``rho0`` is entrywise >= 0 and sums to 1 within
-    ``RENORM_TOL``, the kernel jumps: one product with S = R^sample_stride
-    (and one with a remainder power for a final partial stride) takes d
-    from sample to sample, and the checks and the renormalization run at
-    the samples only.  The outcome is that of policing every step: R's
+    The input selects how far a product reaches, p steps, with one product
+    by R^(n_steps mod p) for a final partial reach.  When R is entrywise
+    >= 0 (a NaN entry is not), and ``rho0`` is entrywise >= 0 and sums to 1
+    within ``RENORM_TOL``, p = ``sample_stride``: one product takes d from
+    sample to sample, and the checks and the renormalization run at the
+    samples only.  The outcome is that of policing every step: R's
     columns sum to 1, so a non-negative R maps the simplex into itself and
     no step between two samples can fail a check, and a renormalization, a
     scalar factor, commutes with the linear steps (R anchor = anchor); the
     sum condition leaves no renormalization pending at step 1.  Otherwise
     (dt near RK4's stability limit, or a ``rho0`` entry in
-    [-NEGATIVE_TOL, 0)) every step is policed, so an oversized dt fails at
-    the step where its iterate first leaves the simplex, and the error
-    names that step.
+    [-NEGATIVE_TOL, 0)) p = 1: every step is policed, with R itself and no
+    matrix power, so an oversized dt fails at the step where its iterate
+    first leaves the simplex, and the error names that step.
 
     Returns (times, samples) of shapes (n,) and (n, 4), the samples written
     into one preallocated array and the times step * dt of the sampled
@@ -260,22 +260,19 @@ def rk4_evolve(w, rho0, dt, n_steps, sample_stride, anchor):
         a, one = dt * w, np.eye(4)
         r = one + a.dot(one + a.dot(one + a.dot(one + a / 4.0) / 3.0) / 2.0)
     steps = np.arange(0, n_steps + 1, sample_stride)
-    tail = n_steps % sample_stride
-    if tail:
+    if n_steps % sample_stride:
         steps = np.append(steps, n_steps)
     samples = np.empty((len(steps), 4))
     samples[0] = rho0
     d = samples[0] - anchor
     v = samples[0].tolist()
-    if (min(v) >= 0.0 and abs(v[0] + v[1] + v[2] + v[3] - 1.0) <= RENORM_TOL
-            and r.min() >= 0.0):
-        hop = np.linalg.matrix_power(r, sample_stride)
-        last = np.linalg.matrix_power(r, tail) if tail else hop
-        stops = itertools.chain(range(sample_stride, n_steps + 1, sample_stride),
-                                (n_steps,) if tail else ())
-    else:
-        hop = last = r
-        stops = range(1, n_steps + 1)
+    jump = (min(v) >= 0.0 and abs(v[0] + v[1] + v[2] + v[3] - 1.0) <= RENORM_TOL
+            and r.min() >= 0.0)
+    p = sample_stride if jump else 1
+    tail = n_steps % p
+    hop = np.linalg.matrix_power(r, p) if jump else r
+    last = np.linalg.matrix_power(r, tail) if tail else hop
+    stops = itertools.chain(range(p, n_steps + 1, p), (n_steps,) if tail else ())
     k = 1
     for step in stops:
         d = (last if step == n_steps else hop).dot(d)

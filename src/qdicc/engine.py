@@ -115,9 +115,10 @@ def stationary(w):
     (rho, gamma_cw, legs, status): populations (4, ...) in state order, the
     clockwise cycle flux, the four cycle-leg net rates in ring order (A->B,
     B->D, D->C, C->A), and a status that is DEGENERATE where Z is zero or
-    not finite, RESIDUAL where |W rho| exceeds 1e-12 max(1, max_j |W_jj|),
-    the largest total exit rate of a state (not the largest channel rate),
-    and LEGS where a leg differs from the cycle flux by more than that.
+    not finite, RESIDUAL where |W rho| exceeds 1e-12 max_j |W_jj|, the
+    largest total exit rate of a state (not the largest channel rate), and
+    LEGS where a leg differs from the cycle flux by more than that.  The
+    tolerance scales with the rates, as their rounding does.
     """
     fwd, bwd = w[_SUCC, RING], w[RING, _SUCC]
     with np.errstate(all="ignore"):
@@ -134,7 +135,7 @@ def stationary(w):
         legs = fp - bp
         outflow = fwd + bwd[_PREV1]
         residual = np.abs(fp[_PREV1] + bp - outflow * p).max(axis=0)
-        tol = 1e-12 * np.maximum(1.0, outflow.max(axis=0))
+        tol = 1e-12 * outflow.max(axis=0)
         status = np.where(~(np.isfinite(z) & (z > 0.0)), DEGENERATE,
                           np.where(~(residual <= tol), RESIDUAL,
                                    np.where(np.abs(legs - gamma_cw).max(axis=0) <= tol,
@@ -145,11 +146,11 @@ def stationary(w):
 def xy(k, g, gamma_cw):
     """Right-minus-left flux asymmetries x (A<->B) and y (C<->D) and their
     status: XY where the right-lead fluxes do not recombine as
-    (x + Gamma_cw)/2 and (y - Gamma_cw)/2 to within 1e-12 max(1, largest
-    rate)."""
+    (x + Gamma_cw)/2 and (y - Gamma_cw)/2 to within 1e-12 times the
+    largest rate."""
     x = g[1] - g[0]
     y = g[3] - g[2]
-    tol = 1e-12 * np.maximum(1.0, k.max(axis=0))
+    tol = 1e-12 * k.max(axis=0)
     with np.errstate(invalid="ignore"):
         ok = ((np.abs(g[1] - 0.5 * (x + gamma_cw)) <= tol)
               & (np.abs(g[3] - 0.5 * (y - gamma_cw)) <= tol))
@@ -232,20 +233,17 @@ def log_domain(k, rho):
     return np.where(outside, LOG_DOMAIN, OK)
 
 
-def pq_status(k, c_l):
+def pq_status(k):
     """Cycle-direction predictor p/q of the two-force setup (see
     :func:`qdicc.icc.pq_ratio`), p and q over the channels of the m and n
-    cycles, and its status: PQ_RANGE where p/q or the lead-l cycle ratio
-    ``c_l`` of :func:`cycles` is not a finite positive number (a rate
-    product left the float range).  Rates must be positive; the caller
-    decides reduction (:func:`evaluate` from the forces)."""
+    cycles, and its status: PQ_RANGE where p/q is not a finite positive
+    number (a rate ratio left the float range).  Rates must be positive;
+    the caller decides reduction (:func:`evaluate` from the forces)."""
     with np.errstate(all="ignore"):
         p, q = [(1.0 + k[r_up] / k[l_up]) / (1.0 + k[r_down] / k[l_down])
                 for (r_up, l_down), (r_down, l_up) in zip(_CYCLES[:2], _CYCLES_BACK[:2])]
         ratio = p / q
-        in_range = (np.isfinite(c_l) & (c_l > 0.0)
-                    & np.isfinite(ratio) & (ratio > 0.0))
-        return ratio, np.where(in_range, OK, PQ_RANGE)
+        return ratio, np.where(np.isfinite(ratio) & (ratio > 0.0), OK, PQ_RANGE)
 
 
 # The regime rules: one line per force category, one column per pair of
@@ -365,12 +363,12 @@ def evaluate(sys: SystemParams, beta, mu, gamma, tol_sign: float = TOL_SIGN) -> 
         g = channel_fluxes(k, rho)
         cur = currents_vector(g, sys.eps_b, sys.eps_u, sys.kappa, mu)
         x, y, xy_status = xy(k, g, gamma_cw)
-        m, n, c_l, mn_status = cycles(k)
+        m, n, _c_l, mn_status = cycles(k)
         sigma_macro, _decomposition, macro_status = entropy_macro(beta, cur, f)
         micro = schnakenberg(k, rho)[0]
 
         reduced = np.abs(f[0]) <= TOL_FORCE
-        ratio, pq_codes = pq_status(k, c_l)
+        ratio, pq_codes = pq_status(k)
         regime, cls_codes = classify(f[1], f[2], cur[1], cur[4], tol_sign)
         regime = np.where(reduced, regime, -1)
         ratio = np.where(reduced, ratio, np.nan)
@@ -379,9 +377,8 @@ def evaluate(sys: SystemParams, beta, mu, gamma, tol_sign: float = TOL_SIGN) -> 
         res_j_e = cur[0] + cur[1] + cur[2]
         res_j_n = cur[3] + cur[4] + cur[5]
 
-        nonfinite = (~np.isfinite(cur).all(axis=0)
-                     | ~np.isfinite(np.array((gamma_cw, x, y, m, n, sigma_macro, micro,
-                                              res_j_e, res_j_n))).all(axis=0)
+        nonfinite = (~np.isfinite(np.vstack((cur, gamma_cw, x, y, m, n, sigma_macro, micro,
+                                             res_j_e, res_j_n))).all(axis=0)
                      | np.isinf(cop) | np.isinf(eta))
         # each row's status is its first failing gate in pipeline order
         codes = np.array((np.where(bad_baths, BAD_BATHS, OK),

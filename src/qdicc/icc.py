@@ -40,11 +40,7 @@ def icc_reduction(beta: float, beta_r: float, mu_l: float, mu_r: float,
     The upper-lead energy bias is identically zero, leaving the parallel
     force pair (f_e_r, f_n_r) that can exhibit inverse currents.
     """
-    return BathConfig(
-        l=Reservoir(Lead.L, beta=beta, mu=mu_l, gamma=gamma),
-        r=Reservoir(Lead.R, beta=beta_r, mu=mu_r, gamma=gamma),
-        u=Reservoir(Lead.U, beta=beta, mu=mu_u, gamma=gamma),
-    )
+    return _baths((beta, beta_r, beta), (mu_l, mu_r, mu_u), gamma)
 
 
 def thermoelectric_reduction(beta: float, beta_u: float, mu_l: float,
@@ -56,11 +52,13 @@ def thermoelectric_reduction(beta: float, beta_u: float, mu_l: float,
     (f_e_u, f_n_r) drives conventional cross effects (engine/refrigerator
     operation against a single opposing force), never inverse currents.
     """
-    return BathConfig(
-        l=Reservoir(Lead.L, beta=beta, mu=mu_l, gamma=gamma),
-        r=Reservoir(Lead.R, beta=beta, mu=mu_r, gamma=gamma),
-        u=Reservoir(Lead.U, beta=beta_u, mu=mu_u, gamma=gamma),
-    )
+    return _baths((beta, beta, beta_u), (mu_l, mu_r, mu_u), gamma)
+
+
+def _baths(beta, mu, gamma: float) -> BathConfig:
+    """The three reservoirs from (l, r, u) triples of beta and mu at one gamma."""
+    return BathConfig(*(Reservoir(lead, beta=b, mu=m, gamma=gamma)
+                        for lead, b, m in zip(Lead, beta, mu)))
 
 
 def xy_variables(rc: RateConstants, ss: SteadyState) -> tuple[float, float]:
@@ -88,13 +86,14 @@ def pq_ratio(rc: RateConstants) -> float:
     runs clockwise, below one anticlockwise, at one it stalls.
 
     Raises :class:`LogDomainError` unless every rate is strictly positive,
+    :class:`DegenerateRateError` where p/q or c_l leaves the float range,
     and :class:`PreconditionError` outside the reduced setup, which rates
     alone show as a lead-l cycle ratio c_l off one (|ln c_l| > 1e-9).
     """
     engine.raise_for_status(engine.log_domain(rc.values, np.ones(4)))
     c_l = engine.cycles(rc.values)[2]
-    ratio, status = engine.pq_status(rc.values, c_l)
-    engine.raise_for_status(status)
+    ratio, status = engine.pq_status(rc.values)
+    engine.raise_for_status(status if 0.0 < c_l < np.inf else engine.PQ_RANGE)
     engine.raise_for_status(engine.OK if abs(np.log(c_l)) <= 1e-9 else engine.UNREDUCED)
     return float(ratio)
 
@@ -142,8 +141,7 @@ def cop(cs: CurrentSet, baths: BathConfig, fs: ForceSet) -> float | None:
 def cop_ideal(baths: BathConfig) -> float:
     """Ideal-refrigerator COP T_cold / (T_hot - T_cold) from the two
     distinct inverse temperatures of the reduced setup."""
-    beta_cold = max(baths.l.beta, baths.r.beta)
-    beta_hot = min(baths.l.beta, baths.r.beta)
+    beta_hot, beta_cold = sorted((baths.l.beta, baths.r.beta))
     if beta_cold == beta_hot:
         raise PreconditionError("ideal COP diverges without a thermal bias")
     return beta_hot / (beta_cold - beta_hot)
@@ -166,8 +164,7 @@ def efficiency(cs: CurrentSet, baths: BathConfig, fs: ForceSet) -> float | None:
 def carnot_efficiency(baths: BathConfig) -> float:
     """Carnot bound (T_hot - T_cold) / T_hot from the two distinct
     inverse temperatures of the reduced setup."""
-    beta_cold = max(baths.l.beta, baths.r.beta)
-    beta_hot = min(baths.l.beta, baths.r.beta)
+    beta_hot, beta_cold = sorted((baths.l.beta, baths.r.beta))
     return 1.0 - beta_hot / beta_cold
 
 

@@ -95,7 +95,8 @@ def population_values(rho) -> np.ndarray:
 class Generator:
     """Markov generator W with W[j, i] the total rate i -> j.
 
-    Columns sum to zero (probability conservation) and the entries of the
+    Columns sum to zero (probability conservation), to within
+    ``COLUMN_SUM_TOL`` times the largest |W| entry, and the entries of the
     blocked transitions B<->C and A<->D are exactly zero.
     """
 
@@ -112,8 +113,7 @@ class Generator:
         off = w[~np.eye(4, dtype=bool)]
         if np.any(off < 0):
             raise ValueError("off-diagonal generator entries must be non-negative")
-        scale = max(1.0, float(np.abs(w).max()))
-        if np.any(np.abs(w.sum(axis=0)) > self.COLUMN_SUM_TOL * scale):
+        if np.any(np.abs(w.sum(axis=0)) > self.COLUMN_SUM_TOL * float(np.abs(w).max())):
             raise ValueError("generator columns must sum to zero")
         nonzero = np.argwhere(_kernels._BLOCKED & (w != 0.0)).tolist()
         if nonzero:

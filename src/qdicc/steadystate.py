@@ -36,10 +36,11 @@ def steady_state(w: Generator) -> SteadyState:
     rates off W.  Raises :class:`DegenerateNetworkError` when the
     spanning-tree normalization Z is zero or not finite, and
     :class:`NumericalError` when |W rho| or the spread of the four cycle
-    legs exceeds 1e-12 times the largest rate, which would indicate a
-    corrupted generator rather than roundoff.  ``w`` is a :class:`Generator`;
-    any other array is validated as one, as :func:`qdicc.kinetics.evolve`
-    does, and a ``ValueError`` names the first failure.
+    legs exceeds 1e-12 times the largest total exit rate |W_jj|, which
+    would indicate a corrupted generator rather than roundoff.  ``w`` is a
+    :class:`Generator`; any other array is validated as one, as
+    :func:`qdicc.kinetics.evolve` does, and a ``ValueError`` names the
+    first failure.
     """
     w_arr = (w if isinstance(w, Generator) else Generator(w)).matrix
     rho, gamma_cw, legs, status = engine.stationary(w_arr)

@@ -20,7 +20,7 @@ from qdicc import (CurrentSet, Lead, NumericalError, QdiccError, RateConstants,
                    invert_forces, mn_factors, pq_ratio, rate_constants,
                    schnakenberg_terms, steady_state)
 from qdicc._kernels import (_EXCITE, _LOWER, _RELAX, _UPPER, R_BA, U_AC,
-                            channel_energies, rate_vector)
+                            channel_energies, channel_fluxes, rate_vector)
 from qdicc.config import record_fields
 
 import test_kinetics
@@ -150,6 +150,32 @@ class TestStatus:
         beta, mu_l = invert_forces(-0.99, -711.86, BETA_R, MU_R)
         with pytest.raises(QdiccError):
             analyze_point(sys, icc_reduction(beta, BETA_R, mu_l, MU_R, MU_U))
+
+    def test_reduced_row_gates_p_over_q_only(self):
+        # a census_12x12 row: the lead-l cycle products leave the float
+        # range, but on a reduced row c_l is 1 in exact arithmetic and p/q
+        # is finite, so the row is ok; the rates-only view, which has no
+        # forces to read reduction from, still rejects c_l
+        sys = SystemParams(eps_b=EPS_B, eps_u=EPS_U, kappa=-1.5)
+        batch = plane_line(sys, 217.73181818181817, [-545.4545454545455])
+        assert batch.status[0] == engine.OK
+        assert 0.0 < batch.pq[0] < math.inf
+        assert engine.REGIMES[batch.regime[0]] is engine.Regime.NORMAL
+        cls, message = engine.ERRORS[engine.PQ_RANGE]
+        with pytest.raises(cls, match=message):
+            pq_ratio(RateConstants(batch.k[:, 0]))
+
+    @pytest.mark.parametrize("gamma", [1.0, 1e-9])
+    def test_xy_gate_scales_with_the_rates(self, gamma):
+        # gamma only sets the unit of time: the right-lead AB flux scaled by
+        # 1 + 1e-6 fails the gate at gamma = 1e-9 as it does at gamma = 1
+        sys = SystemParams(eps_b=EPS_B, eps_u=EPS_U, kappa=-1.5)
+        beta, mu_l = invert_forces(1.0, 1.0, BETA_R, MU_R)
+        batch = engine.evaluate(sys, (beta, BETA_R, beta), (mu_l, MU_R, MU_U), (gamma,) * 3)
+        assert batch.status[0] == engine.OK
+        g = channel_fluxes(batch.k, batch.rho)
+        g[1] *= 1.0 + 1e-6
+        assert engine.xy(batch.k, g, batch.gamma_cw)[2][0] == engine.XY
 
     def test_bad_bath_rows_are_flagged(self):
         sys = SystemParams(eps_b=EPS_B, eps_u=EPS_U, kappa=-1.5)
@@ -550,6 +576,28 @@ def tilted_generators(k, kappa, chi):
     return w
 
 
+@pytest.mark.parametrize("kappa", [-1.5, 1.5])
+def test_green_kubo_at_zero_force(kappa):
+    """At F = 0 the Hessian of the top eigenvalue of the tilted generator in
+    (chi_E^r, chi_N^r), the covariance rate of (J_E^r, J_N^r), is 2 L, with
+    L the engine's linear response from :func:`onsager_matrix` (Green-Kubo).
+    Each mixed entry is differenced in its own order."""
+    h = 1e-3
+    k = rate_vector(EPS_B, EPS_U, kappa, (BETA_R,) * 3, (MU_R, MU_R, MU_U), (1.0,) * 3)
+    steps = h * np.array([(0.0, a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)]).T
+    w = tilted_generators(np.tile(k[:, None], 9), kappa, steps)
+    top = np.linalg.eigvals(w).real.max(axis=-1).reshape(3, 3)  # [chi_E, chi_N]
+    d_e, d_n = (top[2] - top[0]) / (2 * h), (top[:, 2] - top[:, 0]) / (2 * h)
+    curv_e = (top[2, 1] - 2 * top[1, 1] + top[0, 1]) / h**2
+    curv_n = (top[1, 2] - 2 * top[1, 1] + top[1, 0]) / h**2
+    hessian = np.array([[curv_e, (d_e[2] - d_e[0]) / (2 * h)],
+                        [(d_n[2] - d_n[0]) / (2 * h), curv_n]])
+    scale = np.abs(hessian).max()
+    assert np.abs(hessian - 2.0 * onsager_matrix(kappa, 1e-4)).max() <= 1e-5 * scale
+    assert abs(hessian[0, 1] - hessian[1, 0]) <= 1e-5 * scale
+    assert np.linalg.eigvalsh(hessian).min() >= 0.0
+
+
 @settings(max_examples=40, deadline=None)
 @given(RAW_BATHS, st.tuples(*[st.floats(-1.0, 1.0)] * 3))
 def test_gallavotti_cohen_symmetry(draw, chi):
@@ -662,7 +710,7 @@ def test_cycle_stage_gives_the_literal_products(k, kappa):
     # their values and their errors
     m, n, c_l, _den_m, _den_n, ratio = literal_cycles(k)
     stage = engine.cycles(k)
-    for got, want in zip(stage[:3] + engine.pq_status(k, stage[2])[:1], (m, n, c_l, ratio)):
+    for got, want in zip(stage[:3] + engine.pq_status(k)[:1], (m, n, c_l, ratio)):
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
     sys = SystemParams(eps_b=EPS_B, eps_u=EPS_U, kappa=kappa)
     for column in k.reshape(12, -1).T:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qdicc import (ForbiddenTransitionError, IntegrationError, Lead,
+from qdicc import (ForbiddenTransitionError, Generator, IntegrationError, Lead,
                    PopulationVector, StateIndex, SystemParams, evolve,
                    generator, icc_reduction, invert_forces, net_transition_rate,
                    rate_constants, steady_state)
@@ -172,11 +172,22 @@ class TestGenerator:
         for _ in range(50):
             rc = rate_constants(random_system(rng), random_baths(rng, equal_gamma=False))
             w = generator(rc).matrix
-            assert np.abs(w.sum(axis=0)).max() < 1e-14 * max(1.0, np.abs(w).max())
+            assert np.abs(w.sum(axis=0)).max() < 1e-14 * np.abs(w).max()
             off = w[~np.eye(4, dtype=bool)]
             assert (off >= 0).all()
             for i, j in ((1, 2), (2, 1), (0, 3), (3, 0)):
                 assert w[i, j] == 0.0
+
+    @pytest.mark.parametrize("gamma", [1.0, 1e-9])
+    def test_column_sum_gate_scales_with_the_rates(self, gamma):
+        # gamma only sets the unit of time: column 0 off zero by 1e-6 of
+        # W[1, 0] is rejected at gamma = 1e-9 as it is at gamma = 1
+        w = inverse_plane_generator(1.0, 1.0, gamma).copy()
+        w[1, 0] *= 1.0 + 1e-6
+        for call in (Generator, steady_state,
+                     lambda w: evolve(np.full(4, 0.25), w, dt=1e-3, t_end=1e-2)):
+            with pytest.raises(ValueError, match="generator columns must sum to zero"):
+                call(w)
 
     def test_off_diagonal_entries_are_lead_sums(self):
         # W[j, i] is the total rate i -> j: the sum over leads of rc.rate,
@@ -293,11 +304,11 @@ def one_step_matrix(w, dt):
     return one + a @ (one + a @ (one + a @ (one + a / 4) / 3) / 2)
 
 
-def inverse_plane_generator(f_e=0.7, f_n=1.1):
+def inverse_plane_generator(f_e=0.7, f_n=1.1, gamma=1.0):
     """The generator of configs/inverse_plane.cfg at one force point."""
     beta, mu_l = invert_forces(f_e, f_n, 1.0, 1.0)
     return generator(rate_constants(SystemParams(1.0, 2.5, -1.5),
-                                    icc_reduction(beta, 1.0, mu_l, 1.0, 3.0))).matrix
+                                    icc_reduction(beta, 1.0, mu_l, 1.0, 3.0, gamma))).matrix
 
 
 def assert_matches_stage_form(w, rho0, dt, n_steps, stride):
